@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .chains import chain_spec, foliation_e, hj_determinant
+from .chains import chain_spec, foliation_e
 from .config import Workspace, load_workspace
 from .errors import MissingSectionError, UsageError, ZariskivolError
 from .invariants import e_of_divisor_pair, e_sup, e_zero, verify_e_inequality
@@ -33,17 +33,31 @@ from .noether import (
 )
 from .zariski import is_nef_on, zariski_decompose
 
-_COMMANDS = (
-    ("zariski", "decompose a divisor into nef and negative parts"),
-    ("volume", "self-intersection of the nef part"),
-    ("einv", "slope invariants of a divisor's negative part"),
-    ("chain", "continued-fraction data of exceptional chains"),
-    ("foliation", "chain assemblies and foliated canonical bounds"),
-    ("logpair", "log canonical iteration and bounds"),
-    ("bounds", "closed-form volume lower bounds"),
-    ("audit", "evaluate the applicable bound on a workspace split"),
-    ("catalog", "model classes of self-intersection d - 1"),
-)
+_FLAGS = {
+    "--config": {"metavar": "PATH", "help": "workspace file to load"},
+    "--json": {"action": "store_true", "help": "emit the JSON rendering"},
+    "--divisor": {"metavar": "LABEL"},
+    "--m": {"metavar": "LABEL"},
+    "--z": {"metavar": "LABEL"},
+    "--fibre": {"metavar": "LABEL"},
+    "--fibre-mult": {"type": int, "metavar": "N"},
+    "--e": {
+        "action": "append",
+        "metavar": "LIST",
+        "help": "comma-separated chain entries; repeat for several chains",
+    },
+    "--scale": {"type": int, "metavar": "M"},
+    "--h0": {"type": int, "metavar": "N"},
+    "--einv": {"metavar": "Q", "help": "slope invariant as a rational"},
+    "--pm": {"type": int, "metavar": "N"},
+    "--mm": {"type": int, "metavar": "N"},
+    "--lambda": {"dest": "lam", "metavar": "Q"},
+    "--d": {"type": int, "metavar": "N"},
+    "--pencil": {"action": "store_true"},
+    "--kappa-nonneg": {"action": argparse.BooleanOptionalAction},
+    "--ruled": {"action": argparse.BooleanOptionalAction},
+    "--max-support": {"type": int},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,34 +68,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zariskivol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_text in _COMMANDS:
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="workspace file to load")
-        p.add_argument("--json", action="store_true", help="emit the JSON rendering")
-        p.add_argument("--divisor", metavar="LABEL")
-        p.add_argument("--m", metavar="LABEL")
-        p.add_argument("--z", metavar="LABEL")
-        p.add_argument("--fibre", metavar="LABEL")
-        p.add_argument("--fibre-mult", dest="fibre_mult", type=int, metavar="N")
-        p.add_argument(
-            "--e",
-            action="append",
-            metavar="LIST",
-            help="comma-separated chain entries; repeat for several chains",
-        )
-        p.add_argument("--scale", type=int, default=1, metavar="M")
-        p.add_argument("--h0", type=int, metavar="N")
-        p.add_argument("--einv", metavar="Q", help="slope invariant as a rational")
-        p.add_argument("--pm", type=int, metavar="N")
-        p.add_argument("--mm", type=int, metavar="N")
-        p.add_argument("--lambda", dest="lam", metavar="Q")
-        p.add_argument("--d", type=int, metavar="N")
-        p.add_argument("--pencil", action="store_true")
-        p.add_argument(
-            "--kappa-nonneg", dest="kappa_nonneg", action=argparse.BooleanOptionalAction
-        )
-        p.add_argument("--ruled", action=argparse.BooleanOptionalAction)
-        p.add_argument("--max-support", dest="max_support", type=int, default=16)
+        for flag in flags.split() + ["--json"]:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -98,8 +88,8 @@ def _need_workspace(workspace: Optional[Workspace]) -> Workspace:
     return workspace
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
+def _frac(value: Optional[Fraction]) -> Optional[str]:
+    return None if value is None else str(value)
 
 
 def _div(d: DivisorClass) -> dict:
@@ -222,9 +212,7 @@ def _cmd_einv(workspace, options):
             "a_dot_uncapped": _frac(slack.a_dot_uncapped),
             "slack": _frac(slack.base_slack),
             "fibre_multiple": slack.fibre_multiple,
-            "scaled_slack": None
-            if slack.scaled_slack is None
-            else _frac(slack.scaled_slack),
+            "scaled_slack": _frac(slack.scaled_slack),
         }
     return report
 
@@ -236,7 +224,7 @@ def _cmd_chain(workspace, options):
         entries.append(
             {
                 "e": list(seq),
-                "n": hj_determinant(seq),
+                "n": spec.n,
                 "lambda": [str(v) for v in spec.lambdas],
                 "gamma": [_frac(g) for g in spec.gamma],
                 "e_invariant": _frac(foliation_e([spec], 1)),
@@ -245,24 +233,27 @@ def _cmd_chain(workspace, options):
     return {"command": "chain", "chains": entries}
 
 
+def _bound_report(command, bound, options):
+    pm = options["pm"]
+    mm = _need(options, "mm", "--mm")
+    pencil = bool(options.get("pencil"))
+    kappa = bool(options.get("kappa_nonneg"))
+    return {
+        "command": command,
+        "mode": "bound",
+        "pm": pm,
+        "m": mm,
+        "pencil": pencil,
+        "kappa_nonneg": kappa,
+        "bound": _frac(bound(pm, mm, pencil, kappa)),
+    }
+
+
 def _cmd_foliation(workspace, options):
     if options.get("pm") is not None:
-        pm = options["pm"]
-        mm = _need(options, "mm", "--mm")
-        pencil = bool(options.get("pencil"))
-        kappa = bool(options.get("kappa_nonneg"))
-        value = foliation_bounds(pm, mm, pencil, kappa)
-        return {
-            "command": "foliation",
-            "mode": "bound",
-            "pm": pm,
-            "m": mm,
-            "pencil": pencil,
-            "kappa_nonneg": kappa,
-            "bound": _frac(value),
-        }
+        return _bound_report("foliation", foliation_bounds, options)
     seqs = _chains_from(workspace, options)
-    scale = options.get("scale") or 1
+    scale = 1 if options.get("scale") is None else options["scale"]
     specs = [chain_spec(seq) for seq in seqs]
     value = foliation_e(specs, scale)
     return {
@@ -278,20 +269,7 @@ def _cmd_foliation(workspace, options):
 
 def _cmd_logpair(workspace, options):
     if options.get("pm") is not None:
-        pm = options["pm"]
-        mm = _need(options, "mm", "--mm")
-        pencil = bool(options.get("pencil"))
-        kappa = bool(options.get("kappa_nonneg"))
-        value = log_pair_bounds(pm, mm, pencil, kappa)
-        return {
-            "command": "logpair",
-            "mode": "bound",
-            "pm": pm,
-            "m": mm,
-            "pencil": pencil,
-            "kappa_nonneg": kappa,
-            "bound": _frac(value),
-        }
+        return _bound_report("logpair", log_pair_bounds, options)
     ws = _need_workspace(workspace)
     if ws.log_pair is None:
         raise MissingSectionError("workspace has no log_pair section")
@@ -359,15 +337,9 @@ def _cmd_bounds(workspace, options):
         "base": _frac(family.base),
         "refined": _frac(family.refined),
         "nonruled_applies": family.nonruled_applies,
-        "nonruled_base": None
-        if family.nonruled_base is None
-        else _frac(family.nonruled_base),
-        "nonruled_refined_weak": None
-        if family.nonruled_refined_weak is None
-        else _frac(family.nonruled_refined_weak),
-        "nonruled_refined_strong": None
-        if family.nonruled_refined_strong is None
-        else _frac(family.nonruled_refined_strong),
+        "nonruled_base": _frac(family.nonruled_base),
+        "nonruled_refined_weak": _frac(family.nonruled_refined_weak),
+        "nonruled_refined_strong": _frac(family.nonruled_refined_strong),
     }
 
 
@@ -410,9 +382,7 @@ def _cmd_audit(workspace, options):
         "volume": _frac(report.volume),
         "satisfied": report.satisfied,
         "equality": report.equality,
-        "refined_bound": None
-        if report.refined_bound is None
-        else _frac(report.refined_bound),
+        "refined_bound": _frac(report.refined_bound),
         "checks": _plain(report.checks),
         "annotations": list(report.annotations),
         "assumptions": _plain(report.assumptions),
@@ -438,23 +408,46 @@ def _cmd_catalog(workspace, options):
     }
 
 
-_HANDLERS = {
-    "zariski": _cmd_zariski,
-    "volume": _cmd_volume,
-    "einv": _cmd_einv,
-    "chain": _cmd_chain,
-    "foliation": _cmd_foliation,
-    "logpair": _cmd_logpair,
-    "bounds": _cmd_bounds,
-    "audit": _cmd_audit,
-    "catalog": _cmd_catalog,
+# name -> (help, flags besides --json, handler); --help lists the commands in this order
+_COMMANDS = {
+    "zariski": (
+        "decompose a divisor into nef and negative parts", "--config --divisor", _cmd_zariski
+    ),
+    "volume": ("self-intersection of the nef part", "--config --divisor", _cmd_volume),
+    "einv": (
+        "slope invariants of a divisor's negative part",
+        "--config --divisor --m --fibre --fibre-mult --max-support",
+        _cmd_einv,
+    ),
+    "chain": ("continued-fraction data of exceptional chains", "--config --e", _cmd_chain),
+    "foliation": (
+        "chain assemblies and foliated canonical bounds",
+        "--config --e --scale --pm --mm --pencil --kappa-nonneg",
+        _cmd_foliation,
+    ),
+    "logpair": (
+        "log canonical iteration and bounds",
+        "--config --pm --mm --pencil --kappa-nonneg",
+        _cmd_logpair,
+    ),
+    "bounds": (
+        "closed-form volume lower bounds",
+        "--h0 --einv --e --lambda --pencil --kappa-nonneg --ruled",
+        _cmd_bounds,
+    ),
+    "audit": (
+        "evaluate the applicable bound on a workspace split",
+        "--config --divisor --m --z --fibre --fibre-mult",
+        _cmd_audit,
+    ),
+    "catalog": ("model classes of self-intersection d - 1", "--d", _cmd_catalog),
 }
 
 
 def run_command(workspace: Optional[Workspace], command: str, options: dict) -> dict:
     """Dispatch one command against an optional workspace; returns the report."""
     try:
-        handler = _HANDLERS[command]
+        handler = _COMMANDS[command][2]
     except KeyError:
         raise UsageError(f"unknown command {command!r}") from None
     return handler(workspace, options)
@@ -497,7 +490,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         ns = parser.parse_args(argv)
         if ns.command is None:
-            names = ", ".join(name for name, _ in _COMMANDS)
+            names = ", ".join(_COMMANDS)
             raise UsageError(f"a command is required: one of {names}")
         options = vars(ns)
         workspace = (

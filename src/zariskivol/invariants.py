@@ -128,6 +128,32 @@ def _pattern_of(
     return pat
 
 
+def _slope_parts(
+    lattice: IntersectionLattice,
+    decomposition: ZariskiDecomposition,
+    a: DivisorClass,
+) -> tuple[list[Fraction], Fraction, Fraction]:
+    """Pattern of a on Supp(N), a.N, and the slope of a against N.
+
+    The support is checked only when a.N is nonzero; otherwise the slope
+    is zero without a solve.
+    """
+    _require_lattice(lattice, a)
+    sup = decomposition.support
+    pat = _pattern_of(lattice, decomposition, a)
+    a_dot_n = sum(
+        (g * t for g, t in zip(decomposition.gamma, pat)), Fraction(0)
+    )
+    if a_dot_n == 0:
+        return pat, a_dot_n, Fraction(0)
+    _check_support(lattice, sup)
+    beta = _solve_pattern(lattice, sup, pat, capped=True)
+    denom = sum((b * t for b, t in zip(beta, pat)), Fraction(0))
+    if denom <= 0:
+        raise InvariantViolationError("capped pairing denominator is not positive")
+    return pat, a_dot_n, a_dot_n / denom
+
+
 def e_of_divisor_pair(
     lattice: IntersectionLattice,
     decomposition: ZariskiDecomposition,
@@ -138,20 +164,7 @@ def e_of_divisor_pair(
     Zero when a.N = 0.  The denominator is certified positive whenever
     a.N is positive.
     """
-    _require_lattice(lattice, a)
-    sup = decomposition.support
-    pat = _pattern_of(lattice, decomposition, a)
-    a_dot_n = sum(
-        (g * t for g, t in zip(decomposition.gamma, pat)), Fraction(0)
-    )
-    if a_dot_n == 0:
-        return Fraction(0)
-    _check_support(lattice, sup)
-    beta = _solve_pattern(lattice, sup, pat, capped=True)
-    denom = sum((b * t for b, t in zip(beta, pat)), Fraction(0))
-    if denom <= 0:
-        raise InvariantViolationError("capped pairing denominator is not positive")
-    return a_dot_n / denom
+    return _slope_parts(lattice, decomposition, a)[2]
 
 
 def e_zero(decomposition: ZariskiDecomposition) -> Fraction:
@@ -262,15 +275,11 @@ def verify_e_inequality(
     required to pair like n times F against every support class, and the
     slack scaled by 1/n is checked as well.
     """
-    _require_lattice(lattice, a)
     sup = decomposition.support
-    pat = _pattern_of(lattice, decomposition, a)
-    e_val = e_of_divisor_pair(lattice, decomposition, a)
-    a_dot_n = sum(
-        (g * t for g, t in zip(decomposition.gamma, pat)), Fraction(0)
-    )
+    pat, a_dot_n, e_val = _slope_parts(lattice, decomposition, a)
     if sup:
-        _check_support(lattice, sup)
+        if a_dot_n == 0:  # _slope_parts checked the support only if a.N != 0
+            _check_support(lattice, sup)
         b = _solve_pattern(lattice, sup, pat, capped=False)
         a_unc = sum((bi * t for bi, t in zip(b, pat)), Fraction(0))
     else:

@@ -42,7 +42,13 @@ from .lattice import (
     pair_with_basis,
     solve_against_gram,
 )
-from .zariski import ZariskiDecomposition, is_nef_on, star_lift, zariski_decompose
+from .zariski import (
+    ZariskiDecomposition,
+    _fibre_kernel,
+    is_nef_on,
+    star_lift,
+    zariski_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,17 @@ def _split_and_decompose(lattice, d, m, z):
     return zariski_decompose(lattice, d)
 
 
+def _equality_case(volume, bound, m, z, dec) -> dict:
+    """Lattice-checkable equality conditions: P^2 = bound, M = P, Z = N."""
+    eq_case = {
+        "numeric": volume == bound,
+        "m_equals_p": m == dec.positive,
+        "z_equals_n": z == dec.negative,
+    }
+    eq_case["certified"] = all(eq_case.values())
+    return eq_case
+
+
 def pencil_audit(
     lattice: IntersectionLattice,
     d: DivisorClass,
@@ -194,30 +211,20 @@ def pencil_audit(
         raise ValidationError(
             f"scenario says D.F = {scenario.df} but the lattice gives {df_val}"
         )
-    zs = star_lift(lattice, z, dec.support)
-    fz_star = pair(f, zs.lifted)
-    pz = pair(dec.positive, z)
-    supports_equal = set(dec.support) == set(z.support())
+    kernel = _fibre_kernel(dec, z, star_lift(lattice, z, dec.support).lifted, f)
+    supports_equal = kernel["conditions"][2]
 
     annotations: list[str] = []
     checks: dict = {}
 
     rhs = (
         Fraction(n_mult**2, 1) / (n_mult + e_m) * df_val
-        + Fraction(n_mult, 1) * e_m / (n_mult + e_m) * fz_star
-        + pz
+        + Fraction(n_mult, 1) * e_m / (n_mult + e_m) * kernel["fz_star"]
+        + kernel["pz"]
     )
     relation = "=" if p_sq == rhs else ("<" if p_sq < rhs else ">")
     checks["split_identity"] = {"rhs": rhs, "relation": relation}
-
-    kernel_conditions = (fz_star == 0, zs.lifted.is_zero(), supports_equal)
-    checks["fibre_kernel"] = {
-        "fz_star": fz_star,
-        "conditions": kernel_conditions,
-        "all_equal": kernel_conditions[0] == kernel_conditions[1] == kernel_conditions[2],
-        "pz": pz,
-        "pz_zero": pz == 0,
-    }
+    checks["fibre_kernel"] = kernel
 
     checks["degree_lower_bound"] = {
         "n": n_mult,
@@ -253,14 +260,8 @@ def pencil_audit(
         }
         bound = sq_bound
         refined = sq_bound + Fraction(1) / (1 + e_m)
-        eq_case = {
-            "numeric": p_sq == bound,
-            "m_equals_p": m == dec.positive,
-            "z_equals_n": z == dec.negative,
-        }
-        eq_case["certified"] = all(eq_case.values())
-        checks["equality_case"] = eq_case
-        if eq_case["certified"]:
+        checks["equality_case"] = _equality_case(p_sq, bound, m, z, dec)
+        if checks["equality_case"]["certified"]:
             annotations.append(
                 "volume equality with M = P and Z = N: the base curve of the pencil is rational"
             )
@@ -326,14 +327,8 @@ def surface_audit(
 
     family = surface_bounds(h0, e_m, scenario.kappa_nonneg, scenario.ruled)
     bound = family.base
-    eq_case = {
-        "numeric": vol == bound,
-        "m_equals_p": m == dec.positive,
-        "z_equals_n": z == dec.negative,
-    }
-    eq_case["certified"] = all(eq_case.values())
-    checks["equality_case"] = eq_case
-    if eq_case["certified"]:
+    checks["equality_case"] = _equality_case(vol, bound, m, z, dec)
+    if checks["equality_case"]["certified"]:
         annotations.append(
             "volume equality with M = P and Z = N: image is a surface of minimal degree"
         )
@@ -589,21 +584,30 @@ def log_pair_iterate(
     )
 
 
-def log_pair_bounds(
-    pm: int, m: int, pencil: bool, kappa_nonneg: bool = False
-) -> Fraction:
-    """Closed-form volume bound for multiples of a log canonical class."""
+def _multiple_bound(pm: int, m: int, pencil: bool, kappa_nonneg: bool, cap: int) -> Fraction:
+    # cap is the slope cap of the scaled negative part, which enters only
+    # the pencil denominator.
     if not isinstance(m, int) or m < 1:
         raise ValidationError("m must be a positive integer")
     if pencil:
         if not isinstance(pm, int) or pm < 2:
             raise PmTooSmallError(f"pencil case needs pm >= 2, got {pm!r}")
-        return Fraction((pm - 1) ** 2) / (m**2 * (pm - 1 + 2 * m))
+        return Fraction((pm - 1) ** 2) / (m**2 * (pm - 1 + cap))
     if not isinstance(pm, int) or pm < 3:
         raise PmTooSmallError(f"non-pencil case needs pm >= 3, got {pm!r}")
     if kappa_nonneg:
         return Fraction(2 * pm - 4, m**2)
     return Fraction(pm - 2, m**2)
+
+
+def log_pair_bounds(
+    pm: int, m: int, pencil: bool, kappa_nonneg: bool = False
+) -> Fraction:
+    """Closed-form volume bound for multiples of a log canonical class.
+
+    The pencil form uses the slope cap 2m of the scaled log negative part.
+    """
+    return _multiple_bound(pm, m, pencil, kappa_nonneg, 2 * m)
 
 
 def foliation_bounds(
@@ -614,29 +618,15 @@ def foliation_bounds(
     The pencil form bakes in the sharp slope cap for scaled chain
     assemblies, which is the scale m itself.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError("m must be a positive integer")
-    if pencil:
-        if not isinstance(pm, int) or pm < 2:
-            raise PmTooSmallError(f"pencil case needs pm >= 2, got {pm!r}")
-        return Fraction((pm - 1) ** 2) / (m**2 * (pm - 1 + m))
-    if not isinstance(pm, int) or pm < 3:
-        raise PmTooSmallError(f"non-pencil case needs pm >= 3, got {pm!r}")
-    if kappa_nonneg:
-        return Fraction(2 * pm - 4, m**2)
-    return Fraction(pm - 2, m**2)
+    return _multiple_bound(pm, m, pencil, kappa_nonneg, m)
 
 
 def ps_index_bound(lam: RationalLike) -> Fraction:
-    """1 / (lam^2 (1 + lam)), cross-derived from the pencil bound at h0 = 2."""
+    """1 / (lam^2 (1 + lam)): the pencil bound at h0 = 2 divided by lam^2."""
     lv = as_rational(lam)
     if lv <= 0:
         raise ValidationError("the index parameter must be positive")
-    value = Fraction(1) / (lv**2 * (1 + lv))
-    via_pencil = pencil_bound(2, lv) / lv**2
-    if value != via_pencil:
-        raise InvariantViolationError("index bound derivations disagree")
-    return value
+    return Fraction(1) / (lv**2 * (1 + lv))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,22 @@ def star_lift(lattice: IntersectionLattice, base: DivisorClass, n_support) -> St
     return StarLift(base, lifted, sup, tuple(corr.coeffs[i] for i in sup))
 
 
+def _fibre_kernel(
+    dec: ZariskiDecomposition, z: DivisorClass, z_star: DivisorClass, fibre: DivisorClass
+) -> dict:
+    """F.Z*, P.Z, and the conditions F.Z* = 0, Z* = 0 and Supp Z = Supp N."""
+    fz_star = pair(fibre, z_star)
+    pz = pair(dec.positive, z)
+    conds = (fz_star == 0, z_star.is_zero(), set(dec.support) == set(z.support()))
+    return {
+        "fz_star": fz_star,
+        "conditions": conds,
+        "all_equal": conds[0] == conds[1] == conds[2],
+        "pz": pz,
+        "pz_zero": pz == 0,
+    }
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Exact evaluation of the star-lift inequalities for a split D = M + Z."""
@@ -208,20 +224,7 @@ def decomposition_identities(
     fibre_checks = None
     if fibre is not None:
         _require_lattice(lattice, fibre)
-        fz_star = pair(fibre, zs.lifted)
-        pz = pair(dec.positive, z)
-        conds = (
-            fz_star == 0,
-            zs.lifted.is_zero(),
-            set(dec.support) == set(z.support()),
-        )
-        fibre_checks = {
-            "fz_star": fz_star,
-            "conditions": conds,
-            "all_equal": conds[0] == conds[1] == conds[2],
-            "pz": pz,
-            "pz_zero": pz == 0,
-        }
+        fibre_checks = _fibre_kernel(dec, z, zs.lifted, fibre)
 
     return IdentityReport(
         decomposition=dec,

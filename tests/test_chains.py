@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,8 @@ from zariskivol.chains import (
     hj_determinant,
 )
 from zariskivol.errors import InvalidChainError, InvariantViolationError, ValidationError
+from zariskivol.invariants import e_sup
+from zariskivol.zariski import ZariskiDecomposition
 
 from oracles import cf_value, chain_gamma_oracle
 
@@ -76,12 +79,15 @@ def test_chain_gamma_matches_tridiagonal_solve():
             assert spec.n == cf_value(seq).numerator
 
 
-def test_chain_spec_rejects_wrong_suffix_determinants(monkeypatch):
+@pytest.mark.parametrize(
+    "certified", [chain_spec, hj_determinant], ids=["chain_spec", "hj_determinant"]
+)
+def test_chain_spec_rejects_wrong_suffix_determinants(monkeypatch, certified):
     # Strictly decreasing and ending in 1, so only the residual of the
     # tridiagonal system can tell that these are not the determinants of (2, 2).
     monkeypatch.setattr(chains, "_suffix_determinants", lambda seq: [4, 2, 1])
     with pytest.raises(InvariantViolationError):
-        chain_spec((2, 2))
+        certified((2, 2))
 
 
 def test_chain_gamma_strictly_decreasing():
@@ -145,6 +151,24 @@ def test_single_chain_slope_is_one():
     for r in (1, 2, 3):
         for seq in product((2, 3, 4), repeat=r):
             assert foliation_e([chain_spec(seq)], 1) == 1
+
+
+def test_foliation_slope_matches_direct_scaled_supremum():
+    # foliation_e runs e_sup once on N; the reference runs it on m N itself.
+    rng = random.Random(20261017)
+    assemblies = [
+        [tuple(rng.choice((2, 3, 4, 5)) for _ in range(length)) for length in lengths]
+        for lengths in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 1, 1), (1, 1, 2), (1, 2, 2)]
+        for _ in range(2)
+    ]
+    for seqs in assemblies:
+        specs = [chain_spec(seq) for seq in seqs]
+        lattice, dec = foliation_negative_part(specs)
+        for m in range(1, 6):
+            scaled = ZariskiDecomposition(
+                dec.positive, m * dec.negative, dec.support, tuple(m * g for g in dec.gamma)
+            )
+            assert foliation_e(specs, m) == e_sup(lattice, scaled).value, (seqs, m)
 
 
 @pytest.mark.parametrize("scale", [0, -1, True, "2"])

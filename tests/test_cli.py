@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,13 @@ def test_foliation_bound_mode(capsys):
     assert report["bound"] == "1/4"
 
 
+def test_foliation_scale_zero_is_a_validation_error(capsys):
+    code, out, err = run(capsys, ["foliation", "--e", "2,2", "--scale", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_logpair_iteration(tmp_path, capsys):
     cfg = write(tmp_path, LOGPAIR_CONFIG)
     code, out, _ = run(capsys, ["logpair", "--config", cfg, "--json"])
@@ -275,6 +284,36 @@ def test_bounds_usage_errors(capsys):
     code, _, err = run(capsys, ["bounds", "--h0", "4"])
     assert code == 1
     assert "--einv" in err
+
+
+def test_bounds_accepts_slope_through_e(capsys):
+    code, out, _ = run(capsys, ["bounds", "--h0", "5", "--e", "2", "--json"])
+    assert code == 0
+    assert json.loads(out)["e"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["chain", "--h0", "3"], "--h0"),
+        (["catalog", "--config", "ws.json", "--d", "5"], "--config"),
+        (["bounds", "--divisor", "D", "--lambda", "2"], "--divisor"),
+    ],
+)
+def test_flag_of_another_command_is_a_usage_error(capsys, argv, foreign):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert foreign in err
+
+
+def test_chain_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--config", "--e", "--json"}
 
 
 def test_audit_surface(tmp_path, capsys):
@@ -402,3 +441,28 @@ def test_renderers_are_stable():
     assert text == render_text(report)
     assert text.endswith("\n")
     assert "command: zariski" in text
+
+
+# Each recorded invocation names its workspace by one of these keys, so the
+# golden file holds no machine-specific paths.
+GOLDEN_WORKSPACES = {
+    "{golden}": GOLDEN_CONFIG,
+    "{pencil}": PENCIL_CONFIG,
+    "{logpair}": LOGPAIR_CONFIG,
+    "{chains}": CHAINS_CONFIG,
+}
+
+CLI_GOLDENS = Path(__file__).with_name("cli_goldens.json")
+
+
+def test_cli_output_matches_recorded_goldens(tmp_path, capsys):
+    paths = {
+        key: write(tmp_path, data, f"ws{i}.json")
+        for i, (key, data) in enumerate(GOLDEN_WORKSPACES.items())
+    }
+    records = json.loads(CLI_GOLDENS.read_text(encoding="utf-8"))
+    assert len(records) == 26
+    for record in records:
+        argv = [paths.get(arg, arg) for arg in record["argv"]]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (record["exit_code"], record["stdout"]), record["argv"]
