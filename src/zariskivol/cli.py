@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .chains import chain_spec, foliation_e
 from .config import Workspace, load_workspace
-from .errors import MissingSectionError, UsageError, ZariskivolError
+from .errors import MissingSectionError, UsageError, ValidationError, ZariskivolError
 from .invariants import e_of_divisor_pair, e_sup, e_zero, verify_e_inequality
 from .lattice import DivisorClass, as_rational, pair
 from .noether import (
@@ -65,7 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and reused.
+
+    Parsing leaves the parser unchanged, so one instance serves every call.
+    """
     parser = _Parser(prog="zariskivol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (help_text, flags, _) in _COMMANDS.items():
@@ -168,11 +174,13 @@ def _cmd_volume(workspace, options):
 
 
 def _cmd_einv(workspace, options):
+    cap = options.get("max_support")
+    if cap is not None and cap < 1:
+        raise ValidationError(f"--max-support must be a positive integer, got {cap}")
     ws = _need_workspace(workspace)
     label = _need(options, "divisor", "--divisor")
     d = ws.divisor(label)
     dec = zariski_decompose(ws.lattice, d)
-    cap = options.get("max_support")
     result = e_sup(ws.lattice, dec, max_support=16 if cap is None else cap)
     names = ws.lattice.names
     sup_labels = [names[i] for i in dec.support]

@@ -196,9 +196,13 @@ def load_workspace(path: str) -> Workspace:
             text = fh.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"config file is not valid UTF-8: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ConfigParseError("config file is not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigParseError(f"config file is not valid JSON: {exc}") from None
     return parse_workspace(data)
 

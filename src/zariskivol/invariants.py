@@ -31,8 +31,12 @@ from .lattice import (
     pair,
     pair_with_basis,
     solve_against_gram,
+    solve_negative_definite,
 )
 from .zariski import ZariskiDecomposition, star_lift, zariski_decompose
+
+_ONE = Fraction(1)
+_NOT_DEFINITE = "support Gram is not negative definite"
 
 
 @dataclass(frozen=True)
@@ -44,15 +48,23 @@ class ExceptionalSolution:
     divisor: DivisorClass
 
 
-def _check_support(lattice: IntersectionLattice, support: Sequence[int]) -> None:
-    if not support:
-        return
+def _check_off_diagonal(lattice: IntersectionLattice, support: Sequence[int]) -> None:
     if not off_diagonal_nonnegative(lattice, support):
         raise NegativeOffDiagonalError(
             "support classes pair negatively with each other"
         )
+
+
+def _check_support(lattice: IntersectionLattice, support: Sequence[int]) -> None:
+    if not support:
+        return
+    _check_off_diagonal(lattice, support)
     if not is_negative_definite(lattice, support):
-        raise NotPseudoEffectiveError("support Gram is not negative definite")
+        raise NotPseudoEffectiveError(_NOT_DEFINITE)
+
+
+def _targets(pattern: Sequence[Fraction], capped: bool) -> list[Fraction]:
+    return [-min(_ONE, t) if capped else -t for t in pattern]
 
 
 def _solve_pattern(
@@ -61,10 +73,26 @@ def _solve_pattern(
     pattern: Sequence[Fraction],
     capped: bool,
 ) -> list[Fraction]:
-    targets = [
-        -min(Fraction(1), t) if capped else -t for t in pattern
-    ]
-    sol = solve_against_gram(lattice, support, targets)
+    """Exceptional coefficients on a support already passed by _check_support."""
+    sol = solve_against_gram(lattice, support, _targets(pattern, capped))
+    return [sol.coeffs[i] for i in support]
+
+
+def _solve_checked(
+    lattice: IntersectionLattice,
+    support: Sequence[int],
+    pattern: Sequence[Fraction],
+    capped: bool,
+) -> list[Fraction]:
+    """_check_support and _solve_pattern in one elimination.
+
+    The off-diagonal signs are checked first, so NegativeOffDiagonalError
+    still takes precedence over NotPseudoEffectiveError.
+    """
+    _check_off_diagonal(lattice, support)
+    sol = solve_negative_definite(lattice, support, _targets(pattern, capped))
+    if sol is None:
+        raise NotPseudoEffectiveError(_NOT_DEFINITE)
     return [sol.coeffs[i] for i in support]
 
 
@@ -93,10 +121,9 @@ def exceptional_solution(
         if t < 0:
             raise NegativePatternError(f"pattern entry {t} is negative")
         pat.append(Fraction(t))
-    _check_support(lattice, sup)
     if not sup:
         return ExceptionalSolution(capped, (), (), (), lattice.zero())
-    coeffs = _solve_pattern(lattice, sup, pat, capped)
+    coeffs = _solve_checked(lattice, sup, pat, capped)
     for i, (idx, c) in enumerate(zip(sup, coeffs)):
         e_i = Fraction(-lattice.gram[idx][idx])
         floor = (min(Fraction(1), pat[i]) if capped else pat[i]) / e_i
@@ -146,8 +173,7 @@ def _slope_parts(
     )
     if a_dot_n == 0:
         return pat, a_dot_n, Fraction(0)
-    _check_support(lattice, sup)
-    beta = _solve_pattern(lattice, sup, pat, capped=True)
+    beta = _solve_checked(lattice, sup, pat, capped=True)
     denom = sum((b * t for b, t in zip(beta, pat)), Fraction(0))
     if denom <= 0:
         raise InvariantViolationError("capped pairing denominator is not positive")
@@ -278,9 +304,7 @@ def verify_e_inequality(
     sup = decomposition.support
     pat, a_dot_n, e_val = _slope_parts(lattice, decomposition, a)
     if sup:
-        if a_dot_n == 0:  # _slope_parts checked the support only if a.N != 0
-            _check_support(lattice, sup)
-        b = _solve_pattern(lattice, sup, pat, capped=False)
+        b = _solve_checked(lattice, sup, pat, capped=False)
         a_unc = sum((bi * t for bi, t in zip(b, pat)), Fraction(0))
     else:
         a_unc = Fraction(0)

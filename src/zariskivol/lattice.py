@@ -2,10 +2,15 @@
 
 A lattice is a finite list of named classes together with an integral
 symmetric Gram matrix of pairwise intersection numbers.  Divisor classes are
-rational coefficient vectors over that basis.  Everything is exact: rational
-arithmetic uses ``fractions.Fraction`` and determinants are computed by
-fraction-free elimination over the integers, so there is no floating point
-anywhere in the package.
+rational coefficient vectors over that basis.  Everything is exact and
+there is no floating point anywhere in the package.  Coefficients and
+pairings are ``fractions.Fraction`` values, but every linear system,
+determinant and definiteness test runs through one fraction-free (Bareiss)
+elimination over the integers: right-hand sides are scaled to integers,
+back-substitution stays integral, and a Fraction is built only once per
+unknown of the solution.  Without row swaps the pivots of that elimination
+are the leading principal minors, so one pass both tests definiteness by
+Sylvester's criterion and solves.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     AsymmetricGramError,
@@ -27,6 +33,8 @@ from .errors import (
 )
 
 RationalLike = Union[int, Fraction, str]
+
+_ZERO = Fraction(0)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -43,6 +51,10 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in rational literal: {text!r}") from None
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ValidationError(
+            f"rational literal has too many digits ({len(text.strip())} characters)"
+        ) from None
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -212,20 +224,14 @@ def off_diagonal_nonnegative(lattice: IntersectionLattice, support: Sequence[int
 
 
 def is_negative_definite(lattice: IntersectionLattice, support: Iterable[int]) -> bool:
-    """Sylvester test on the Gram submatrix of the given classes.
+    """Sylvester test on the Gram submatrix of the given classes, in one pass.
 
-    The k-th leading principal minor must have sign (-1)^k; each minor is an
-    exact integer determinant.  The empty subset passes vacuously.
+    Fraction-free elimination of -G without row swaps: its k-th pivot is the
+    k-th leading principal minor of -G, so G is negative definite exactly
+    when every pivot is positive.  The empty subset passes vacuously.
     """
     sup = normalize_support(lattice, support)
-    if not sup:
-        return True
-    sub = gram_submatrix(lattice, sup)
-    for k in range(1, len(sup) + 1):
-        minor = det_int([row[:k] for row in sub[:k]])
-        if minor == 0 or (minor > 0) != (k % 2 == 0):
-            return False
-    return True
+    return _bareiss(_negated_gram(lattice, sup), len(sup), definite=True) != 0
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -238,54 +244,27 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss(m, n) * m[n - 1][n - 1]
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination with pivoting."""
+    """Solve a square rational system exactly.
+
+    Each equation is scaled by the lcm of its denominators, so the system is
+    solved by integer elimination with one Fraction built per unknown.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise DimensionMismatchError("system dimensions do not match")
-    a = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystemError("singular linear system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    out = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * out[c]
-        out[r] = acc / a[r][r]
-    return out
+    rows = []
+    for row, b in zip(matrix, rhs):
+        vals = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = lcm(*(v.denominator for v in vals))
+        rows.append([v.numerator * (scale // v.denominator) for v in vals])
+    sol = _solve_rows(rows, n, 1, definite=False)
+    if sol is None:
+        raise SingularSystemError("singular linear system")
+    return sol
 
 
 def solve_against_gram(
@@ -298,6 +277,32 @@ def solve_against_gram(
     Solves for E = sum of c_i times the subset classes such that E paired
     with the j-th subset class equals targets[j].
     """
+    solution = _solve_on_gram(lattice, support, targets, definite=False)
+    if solution is None:
+        raise SingularSystemError("singular linear system")
+    return solution
+
+
+def solve_negative_definite(
+    lattice: IntersectionLattice,
+    support: Iterable[int],
+    targets: Sequence[RationalLike],
+) -> Optional[DivisorClass]:
+    """solve_against_gram fused with the Sylvester test; None if it fails.
+
+    One elimination of -G without row swaps both proves the subset's Gram
+    matrix negative definite (every pivot positive) and solves the system.
+    """
+    return _solve_on_gram(lattice, support, targets, definite=True)
+
+
+def _solve_on_gram(
+    lattice: IntersectionLattice,
+    support: Iterable[int],
+    targets: Sequence[RationalLike],
+    definite: bool,
+) -> Optional[DivisorClass]:
+    """Solve G x = t on the subset as (-G) x = -t, with t scaled to integers."""
     sup = normalize_support(lattice, support)
     if not sup:
         raise EmptySubsetError("cannot solve on an empty subset")
@@ -306,12 +311,85 @@ def solve_against_gram(
         raise DimensionMismatchError(
             f"{len(tgt)} targets for a subset of size {len(sup)}"
         )
-    sub = [[Fraction(x) for x in row] for row in gram_submatrix(lattice, sup)]
-    sol = solve_exact(sub, tgt)
-    coeffs = [Fraction(0)] * lattice.rank
+    scale = lcm(*(t.denominator for t in tgt))
+    rows = _negated_gram(lattice, sup)
+    for row, t in zip(rows, tgt):
+        row.append(-t.numerator * (scale // t.denominator))
+    sol = _solve_rows(rows, len(sup), scale, definite)
+    if sol is None:
+        return None
+    coeffs = [_ZERO] * lattice.rank
     for idx, c in zip(sup, sol):
         coeffs[idx] = c
     return DivisorClass(lattice, tuple(coeffs))
+
+
+def _negated_gram(lattice: IntersectionLattice, sup: Sequence[int]) -> list[list[int]]:
+    gram = lattice.gram
+    return [[-gram[i][j] for j in sup] for i in sup]
+
+
+def _bareiss(m: list[list[int]], n: int, definite: bool = False) -> int:
+    """Fraction-free elimination of the first n columns of m, in place.
+
+    Columns past n (a right-hand side) are carried along.  The update
+    (a_ij p - a_ik a_kj) / p_prev divides exactly (Bareiss 1968), so every
+    entry stays an integer, and without row swaps the k-th pivot is the k-th
+    leading principal minor.  With definite=True rows are never swapped and
+    a pivot that is not positive fails the pass.  Returns the sign of the
+    row permutation, or 0 on failure; on success the sign times the last
+    pivot is the determinant.
+    """
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot_row = m[k]
+        p = pivot_row[k]
+        if definite:
+            if p <= 0:
+                return 0
+        elif p == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], pivot_row
+                    pivot_row = m[k]
+                    p = pivot_row[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            row[k + 1 :] = [(x * p - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = p
+    return sign
+
+
+def _solve_rows(
+    m: list[list[int]], n: int, scale: int, definite: bool
+) -> Optional[list[Fraction]]:
+    """Solution of the n x (n + 1) integer system m, divided by scale.
+
+    After elimination the last pivot d is the determinant of the (row
+    permuted) system, and by Cramer's rule X = d x is an integer vector, so
+    back-substitution stays in the integers with exact divisions.  The
+    result is X / (d * scale): one Fraction per unknown.  None when
+    elimination fails.
+    """
+    if _bareiss(m, n, definite) == 0:
+        return None
+    d = m[n - 1][n - 1] if n else 1
+    xs = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = d * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * xs[j]
+        xs[i] = acc // row[i]
+    den = d * scale
+    return [Fraction(x, den) for x in xs]
 
 
 def arithmetic_genus(

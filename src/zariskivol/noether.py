@@ -37,10 +37,9 @@ from .lattice import (
     arithmetic_genus,
     as_rational,
     build_lattice,
-    is_negative_definite,
     pair,
     pair_with_basis,
-    solve_against_gram,
+    solve_negative_definite,
 )
 from .zariski import (
     ZariskiDecomposition,
@@ -497,12 +496,12 @@ def log_pair_iterate(
                     f"{last_alpha[pos]} to {alpha}"
                 )
             sup = sorted(positions[p] for p in visited)
-            if not is_negative_definite(lattice, sup):
+            targets = [pair_with_basis(kd, i) for i in sup]
+            solved = solve_negative_definite(lattice, sup, targets)
+            if solved is None:
                 raise NotPseudoEffectiveError(
                     "visited components do not span a negative definite subset"
                 )
-            targets = [pair_with_basis(kd, i) for i in sup]
-            solved = solve_against_gram(lattice, sup, targets)
             for p in visited:
                 total = solved.coeffs[positions[p]]
                 if total < acc[p]:

@@ -22,12 +22,12 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     _require_lattice,
-    is_negative_definite,
     normalize_support,
     off_diagonal_nonnegative,
     pair,
     pair_with_basis,
     solve_against_gram,
+    solve_negative_definite,
 )
 
 
@@ -61,14 +61,14 @@ def zariski_decompose(lattice: IntersectionLattice, d: DivisorClass) -> ZariskiD
         if not support:
             return ZariskiDecomposition(d, lattice.zero(), (), ())
         sup = normalize_support(lattice, support)
-        if not is_negative_definite(lattice, sup):
+        targets = [pair_with_basis(d, i) for i in sup]
+        negative = solve_negative_definite(lattice, sup, targets)
+        if negative is None:
             raise NotPseudoEffectiveError(
                 "candidate support {} is not negative definite".format(
                     [lattice.names[i] for i in sup]
                 )
             )
-        targets = [pair_with_basis(d, i) for i in sup]
-        negative = solve_against_gram(lattice, sup, targets)
         if any(negative.coeffs[i] < 0 for i in sup):
             raise NotPseudoEffectiveError(
                 "solution on support {} has a negative coefficient".format(

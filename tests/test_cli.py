@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from zariskivol.cli import main, render_json, render_text, run_command
+from zariskivol.cli import build_parser, main, render_json, render_text, run_command
 from zariskivol.config import parse_workspace
 from zariskivol.errors import UsageError
 
@@ -455,14 +455,63 @@ GOLDEN_WORKSPACES = {
 CLI_GOLDENS = Path(__file__).with_name("cli_goldens.json")
 
 
-def test_cli_output_matches_recorded_goldens(tmp_path, capsys):
+def golden_runs(tmp_path):
+    """(argv, exit code, stdout) of each recorded invocation, paths filled in."""
     paths = {
         key: write(tmp_path, data, f"ws{i}.json")
         for i, (key, data) in enumerate(GOLDEN_WORKSPACES.items())
     }
     records = json.loads(CLI_GOLDENS.read_text(encoding="utf-8"))
-    assert len(records) == 26
-    for record in records:
-        argv = [paths.get(arg, arg) for arg in record["argv"]]
-        code, out, _ = run(capsys, argv)
-        assert (code, out) == (record["exit_code"], record["stdout"]), record["argv"]
+    return [
+        ([paths.get(arg, arg) for arg in r["argv"]], r["exit_code"], r["stdout"])
+        for r in records
+    ]
+
+
+def test_cli_output_matches_recorded_goldens(tmp_path, capsys):
+    runs = golden_runs(tmp_path)
+    assert len(runs) == 26
+    for argv, exit_code, stdout in runs:
+        assert run(capsys, argv)[:2] == (exit_code, stdout), argv
+
+
+def test_repeated_calls_in_one_process_reuse_the_parser(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    runs = golden_runs(tmp_path)
+    first = [run(capsys, argv)[:2] for argv, _, _ in runs]
+    usage = run(capsys, ["chain", "--h0", "3"])
+    assert usage[:2] == (1, "") and usage[2].startswith("error: unrecognized arguments")
+    again = [run(capsys, argv)[:2] for argv, _, _ in reversed(runs)]
+    assert again[::-1] == first == [(code, out) for _, code, out in runs]
+
+
+def test_einv_max_support_below_one_names_the_flag(tmp_path, capsys):
+    cfg = write(tmp_path, GOLDEN_CONFIG)
+    for cap in ("0", "-1"):
+        code, out, err = run(
+            capsys, ["einv", "--config", cfg, "--divisor", "D", "--max-support", cap]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-support must be a positive integer, got {cap}\n"
+
+
+LONG_INTEGER = "1" + "0" * 4999
+ONE_CURVE_WITH_D = '{"lattice": {"curves": ["C"], "gram": [[-2]]}, "divisors": {"D": [%s]}}'
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100000,
+        (ONE_CURVE_WITH_D % LONG_INTEGER).encode(),
+        (ONE_CURVE_WITH_D % f'"{LONG_INTEGER}/7"').encode(),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer", "long-rational"],
+)
+def test_hostile_config_text_is_a_one_line_validation_error(tmp_path, capsys, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["zariski", "--config", str(path), "--divisor", "D"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300

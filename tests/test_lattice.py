@@ -24,9 +24,10 @@ from zariskivol.lattice import (
     parse_rational,
     solve_against_gram,
     solve_exact,
+    solve_negative_definite,
 )
 
-from oracles import det_frac, negdef_eigen, negdef_vectors, solve_frac
+from oracles import det_frac, negdef_eigen, negdef_minors, negdef_vectors, solve_frac
 
 
 @pytest.mark.parametrize(
@@ -146,6 +147,118 @@ def test_solve_exact_matches_oracle(rng):
                 solve_exact(rows, rhs)
         else:
             assert solve_exact(rows, rhs) == expected
+
+
+TARGET_VALUES = (Fraction(1, 3), Fraction(5, 7), Fraction(-2), Fraction(0), Fraction(-1, 2))
+
+
+def _symmetric_systems(rng):
+    """Symmetric integer matrices of sizes 1 to 8 with all kinds of sign.
+
+    Random ones (mostly indefinite), negative definite ones -(B^T B + I),
+    and singular negative semidefinite ones -B^T B with B of rank < n.
+    """
+    systems = [[[-1, 1], [1, -1]], [[0]], [[1, 0], [0, -1]], [[-2, 1], [1, -2]]]
+    for k in range(240):
+        n = 1 + k % 8
+        kind = k // 8 % 3
+        if kind == 0:
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(-5, 1)
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-1, 2)
+        else:
+            b_rows = n if kind == 1 else n - 1
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(b_rows)]
+            rows = [
+                [-sum(r[i] * r[j] for r in b) - (kind == 1 and i == j) for j in range(n)]
+                for i in range(n)
+            ]
+        systems.append(rows)
+    return systems
+
+
+def _with_extra_class(rows):
+    """Lattice with the system on classes 1..n behind an unrelated class 0."""
+    n = len(rows)
+    gram = [[1, 1] + [0] * (n - 1)]
+    gram += [[int(i == 0)] + list(r) for i, r in enumerate(rows)]
+    return build_lattice(tuple(f"C{i}" for i in range(n + 1)), gram)
+
+
+def test_gram_solves_match_oracle(rng):
+    singular = definite = 0
+    for rows in _symmetric_systems(rng):
+        n = len(rows)
+        lattice = _with_extra_class(rows)
+        targets = [rng.choice(TARGET_VALUES) for _ in range(n)]
+        expected = solve_frac(rows, targets)
+        fused = solve_negative_definite(lattice, range(1, n + 1), targets)
+        if not negdef_minors(rows):
+            assert fused is None, rows
+        else:
+            definite += 1
+            assert fused.coeffs == (0, *expected)
+        if expected is None:
+            singular += 1
+            with pytest.raises(SingularSystemError):
+                solve_against_gram(lattice, range(1, n + 1), targets)
+            with pytest.raises(SingularSystemError):
+                solve_exact(rows, targets)
+        else:
+            solved = solve_against_gram(lattice, range(1, n + 1), targets)
+            assert solved.coeffs == (0, *expected)
+            assert solve_exact(rows, targets) == expected
+    assert singular > 20 and definite > 40
+
+
+def test_solve_exact_mixed_denominators_matches_oracle(rng):
+    singular = 0
+    for k in range(160):
+        n = 1 + k % 8
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if k % 5 == 0 and n > 1:
+            rows[-1] = [2 * x for x in rows[0]]  # force a singular system
+        rhs = [rng.choice(TARGET_VALUES) for _ in range(n)]
+        expected = solve_frac(rows, rhs)
+        if expected is None:
+            singular += 1
+            with pytest.raises(SingularSystemError):
+                solve_exact(rows, rhs)
+        else:
+            assert solve_exact(rows, rhs) == expected
+    assert singular >= 10
+
+
+def test_negative_definite_matches_eigen_oracle_up_to_six(rng):
+    answers = set()
+    for rows in _symmetric_systems(rng):
+        n = len(rows)
+        if n <= 6:
+            lattice = build_lattice(tuple(f"C{i}" for i in range(n)), rows)
+            got = is_negative_definite(lattice, range(n))
+            assert got == negdef_eigen(rows), rows
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_fused_solve_rejects_bad_input(disjoint_chain):
+    with pytest.raises(EmptySubsetError):
+        solve_negative_definite(disjoint_chain, (), ())
+    with pytest.raises(DimensionMismatchError):
+        solve_negative_definite(disjoint_chain, (1, 2), (1,))
+    assert solve_negative_definite(disjoint_chain, (0, 1), (1, 1)) is None
+    semidefinite = build_lattice(("A", "B"), ((-1, 1), (1, -1)))
+    assert solve_negative_definite(semidefinite, (0, 1), (Fraction(1, 3), Fraction(5, 7))) is None
+
+
+def test_long_rational_literal_is_a_validation_error():
+    with pytest.raises(ValidationError, match="too many digits"):
+        parse_rational("1" * 5000 + "/7")
 
 
 def test_solve_against_gram_embeds(disjoint_chain):
