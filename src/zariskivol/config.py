@@ -26,7 +26,6 @@ _SCENARIO_KEYS = (
     "kappa_nonneg",
     "ruled",
     "minus_one_classes",
-    "base_genus",
 )
 
 
@@ -126,9 +125,6 @@ def parse_workspace(data) -> Workspace:
             else _expect(sc["kappa_nonneg"], bool, "kappa_nonneg"),
             ruled=None if sc.get("ruled") is None else _expect(sc["ruled"], bool, "ruled"),
             minus_one_classes=tuple(_expect(x, str, "minus_one_classes entry") for x in moc),
-            base_genus=None
-            if sc.get("base_genus") is None
-            else _expect(sc["base_genus"], int, "base_genus"),
         )
         validate_scenario(lattice, scenario)
 
@@ -234,8 +230,6 @@ def workspace_to_data(ws: Workspace) -> dict:
             sc["ruled"] = ws.scenario.ruled
         if ws.scenario.minus_one_classes:
             sc["minus_one_classes"] = list(ws.scenario.minus_one_classes)
-        if ws.scenario.base_genus is not None:
-            sc["base_genus"] = ws.scenario.base_genus
         data["scenario"] = sc
     if ws.chains is not None:
         data["chains"] = [{"e": list(seq)} for seq in ws.chains]

@@ -119,10 +119,6 @@ class NegativeOffDiagonalError(MathematicalError):
     """Two classes on a negative support pair negatively with each other."""
 
 
-class SingularSystemError(MathematicalError):
-    pass
-
-
 class IterationDivergedError(MathematicalError):
     pass
 

@@ -26,12 +26,10 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     _require_lattice,
-    is_negative_definite,
     off_diagonal_nonnegative,
     pair,
     pair_with_basis,
     solve_against_gram,
-    solve_negative_definite,
 )
 from .zariski import ZariskiDecomposition, star_lift, zariski_decompose
 
@@ -55,27 +53,8 @@ def _check_off_diagonal(lattice: IntersectionLattice, support: Sequence[int]) ->
         )
 
 
-def _check_support(lattice: IntersectionLattice, support: Sequence[int]) -> None:
-    if not support:
-        return
-    _check_off_diagonal(lattice, support)
-    if not is_negative_definite(lattice, support):
-        raise NotPseudoEffectiveError(_NOT_DEFINITE)
-
-
 def _targets(pattern: Sequence[Fraction], capped: bool) -> list[Fraction]:
     return [-min(_ONE, t) if capped else -t for t in pattern]
-
-
-def _solve_pattern(
-    lattice: IntersectionLattice,
-    support: Sequence[int],
-    pattern: Sequence[Fraction],
-    capped: bool,
-) -> list[Fraction]:
-    """Exceptional coefficients on a support already passed by _check_support."""
-    sol = solve_against_gram(lattice, support, _targets(pattern, capped))
-    return [sol.coeffs[i] for i in support]
 
 
 def _solve_checked(
@@ -84,13 +63,13 @@ def _solve_checked(
     pattern: Sequence[Fraction],
     capped: bool,
 ) -> list[Fraction]:
-    """_check_support and _solve_pattern in one elimination.
+    """Exceptional coefficients on a support, which must be negative definite.
 
     The off-diagonal signs are checked first, so NegativeOffDiagonalError
-    still takes precedence over NotPseudoEffectiveError.
+    takes precedence over NotPseudoEffectiveError.
     """
     _check_off_diagonal(lattice, support)
-    sol = solve_negative_definite(lattice, support, _targets(pattern, capped))
+    sol = solve_against_gram(lattice, support, _targets(pattern, capped))
     if sol is None:
         raise NotPseudoEffectiveError(_NOT_DEFINITE)
     return [sol.coeffs[i] for i in support]
@@ -124,10 +103,10 @@ def exceptional_solution(
     if not sup:
         return ExceptionalSolution(capped, (), (), (), lattice.zero())
     coeffs = _solve_checked(lattice, sup, pat, capped)
-    for i, (idx, c) in enumerate(zip(sup, coeffs)):
-        e_i = Fraction(-lattice.gram[idx][idx])
-        floor = (min(Fraction(1), pat[i]) if capped else pat[i]) / e_i
-        if c < 0 or c < floor:
+    for idx, c, t in zip(sup, coeffs, pattern):
+        # c below bound / e_i, compared in integers as c * e_i < bound
+        bound = min(1, t) if capped else t
+        if c.numerator * -lattice.gram[idx][idx] < bound * c.denominator:
             raise InvariantViolationError(
                 "exceptional solution coefficient below its certified floor"
             )
@@ -236,7 +215,7 @@ def e_sup(
     ez = e_zero(decomposition)
     if s == 0:
         return EInvariantResult(Fraction(0), True, (), None, ez)
-    _check_support(lattice, sup)
+    _check_off_diagonal(lattice, sup)
     gamma = decomposition.gamma
 
     best = Fraction(0)
@@ -244,9 +223,11 @@ def e_sup(
     ray_hits: list[tuple[tuple[int, ...], int]] = []
     for mask in range(1, 1 << s):
         sigma = [k for k in range(s) if mask >> k & 1]
-        pat = tuple(Fraction(1 if k in sigma else 0) for k in range(s))
-        beta = _solve_pattern(lattice, sup, pat, capped=True)
         vertex_pat = tuple(1 if k in sigma else 0 for k in range(s))
+        sol = solve_against_gram(lattice, sup, [-v for v in vertex_pat])
+        if sol is None:
+            raise NotPseudoEffectiveError(_NOT_DEFINITE)
+        beta = [sol.coeffs[i] for i in sup]
         num = sum((gamma[k] for k in sigma), Fraction(0))
         den = sum((beta[k] for k in sigma), Fraction(0))
         if den <= 0:

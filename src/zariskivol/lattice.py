@@ -4,13 +4,16 @@ A lattice is a finite list of named classes together with an integral
 symmetric Gram matrix of pairwise intersection numbers.  Divisor classes are
 rational coefficient vectors over that basis.  Everything is exact and
 there is no floating point anywhere in the package.  Coefficients and
-pairings are ``fractions.Fraction`` values, but every linear system,
-determinant and definiteness test runs through one fraction-free (Bareiss)
-elimination over the integers: right-hand sides are scaled to integers,
-back-substitution stays integral, and a Fraction is built only once per
-unknown of the solution.  Without row swaps the pivots of that elimination
-are the leading principal minors, so one pass both tests definiteness by
-Sylvester's criterion and solves.
+pairings are ``fractions.Fraction`` values, but every linear system goes
+through one entry point, ``solve_against_gram``.  Each system the library
+solves lives on the support of a negative part, whose Gram matrix G is
+negative definite, so the solver eliminates -G by one fraction-free
+(Bareiss) pass over the integers with no row swaps: right-hand sides are
+scaled to integers, back-substitution stays integral, and a Fraction is
+built only once per unknown of the solution.  Without row swaps the pivots
+of that elimination are the leading principal minors of -G, so the same
+pass tests negative definiteness by Sylvester's criterion and the solver
+returns None for a subset that fails it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     LatticeMismatchError,
-    SingularSystemError,
     ValidationError,
 )
 
@@ -210,10 +212,6 @@ def normalize_support(lattice: IntersectionLattice, support: Iterable[int]) -> t
     return tuple(out)
 
 
-def gram_submatrix(lattice: IntersectionLattice, support: Sequence[int]) -> list[list[int]]:
-    return [[lattice.gram[i][j] for j in support] for i in support]
-
-
 def off_diagonal_nonnegative(lattice: IntersectionLattice, support: Sequence[int]) -> bool:
     """Do all distinct classes in the subset pair nonnegatively?"""
     for a in support:
@@ -223,164 +221,41 @@ def off_diagonal_nonnegative(lattice: IntersectionLattice, support: Sequence[int
     return True
 
 
-def is_negative_definite(lattice: IntersectionLattice, support: Iterable[int]) -> bool:
-    """Sylvester test on the Gram submatrix of the given classes, in one pass.
-
-    Fraction-free elimination of -G without row swaps: its k-th pivot is the
-    k-th leading principal minor of -G, so G is negative definite exactly
-    when every pivot is positive.  The empty subset passes vacuously.
-    """
-    sup = normalize_support(lattice, support)
-    return _bareiss(_negated_gram(lattice, sup), len(sup), definite=True) != 0
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
-
-    Every interior division is exact, which is the point of the algorithm:
-    intermediate values stay integers and never lose precision.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    return _bareiss(m, n) * m[n - 1][n - 1]
-
-
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system exactly.
-
-    Each equation is scaled by the lcm of its denominators, so the system is
-    solved by integer elimination with one Fraction built per unknown.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise DimensionMismatchError("system dimensions do not match")
-    rows = []
-    for row, b in zip(matrix, rhs):
-        vals = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = lcm(*(v.denominator for v in vals))
-        rows.append([v.numerator * (scale // v.denominator) for v in vals])
-    sol = _solve_rows(rows, n, 1, definite=False)
-    if sol is None:
-        raise SingularSystemError("singular linear system")
-    return sol
-
-
 def solve_against_gram(
     lattice: IntersectionLattice,
     support: Iterable[int],
     targets: Sequence[RationalLike],
-) -> DivisorClass:
+) -> Optional[DivisorClass]:
     """Class supported on the subset with prescribed pairings against it.
 
     Solves for E = sum of c_i times the subset classes such that E paired
-    with the j-th subset class equals targets[j].
+    with the j-th subset class equals targets[j], or returns None when the
+    subset's Gram matrix G is not negative definite.  The system is solved
+    as (-G) x = -t with t scaled to integers by the lcm of its
+    denominators; one elimination both proves -G positive definite and
+    solves (see _bareiss), and back-substitution stays integral: after
+    elimination the last pivot d is det(-G), and by Cramer's rule X = d x
+    is an integer vector, so one Fraction X / (d * scale) is built per
+    unknown.
     """
-    solution = _solve_on_gram(lattice, support, targets, definite=False)
-    if solution is None:
-        raise SingularSystemError("singular linear system")
-    return solution
-
-
-def solve_negative_definite(
-    lattice: IntersectionLattice,
-    support: Iterable[int],
-    targets: Sequence[RationalLike],
-) -> Optional[DivisorClass]:
-    """solve_against_gram fused with the Sylvester test; None if it fails.
-
-    One elimination of -G without row swaps both proves the subset's Gram
-    matrix negative definite (every pivot positive) and solves the system.
-    """
-    return _solve_on_gram(lattice, support, targets, definite=True)
-
-
-def _solve_on_gram(
-    lattice: IntersectionLattice,
-    support: Iterable[int],
-    targets: Sequence[RationalLike],
-    definite: bool,
-) -> Optional[DivisorClass]:
-    """Solve G x = t on the subset as (-G) x = -t, with t scaled to integers."""
     sup = normalize_support(lattice, support)
     if not sup:
         raise EmptySubsetError("cannot solve on an empty subset")
     tgt = [as_rational(t) for t in targets]
-    if len(tgt) != len(sup):
+    n = len(sup)
+    if len(tgt) != n:
         raise DimensionMismatchError(
-            f"{len(tgt)} targets for a subset of size {len(sup)}"
+            f"{len(tgt)} targets for a subset of size {n}"
         )
     scale = lcm(*(t.denominator for t in tgt))
-    rows = _negated_gram(lattice, sup)
-    for row, t in zip(rows, tgt):
-        row.append(-t.numerator * (scale // t.denominator))
-    sol = _solve_rows(rows, len(sup), scale, definite)
-    if sol is None:
-        return None
-    coeffs = [_ZERO] * lattice.rank
-    for idx, c in zip(sup, sol):
-        coeffs[idx] = c
-    return DivisorClass(lattice, tuple(coeffs))
-
-
-def _negated_gram(lattice: IntersectionLattice, sup: Sequence[int]) -> list[list[int]]:
     gram = lattice.gram
-    return [[-gram[i][j] for j in sup] for i in sup]
-
-
-def _bareiss(m: list[list[int]], n: int, definite: bool = False) -> int:
-    """Fraction-free elimination of the first n columns of m, in place.
-
-    Columns past n (a right-hand side) are carried along.  The update
-    (a_ij p - a_ik a_kj) / p_prev divides exactly (Bareiss 1968), so every
-    entry stays an integer, and without row swaps the k-th pivot is the k-th
-    leading principal minor.  With definite=True rows are never swapped and
-    a pivot that is not positive fails the pass.  Returns the sign of the
-    row permutation, or 0 on failure; on success the sign times the last
-    pivot is the determinant.
-    """
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = m[k]
-        p = pivot_row[k]
-        if definite:
-            if p <= 0:
-                return 0
-        elif p == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], pivot_row
-                    pivot_row = m[k]
-                    p = pivot_row[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        tail = pivot_row[k + 1 :]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            row[k + 1 :] = [(x * p - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = p
-    return sign
-
-
-def _solve_rows(
-    m: list[list[int]], n: int, scale: int, definite: bool
-) -> Optional[list[Fraction]]:
-    """Solution of the n x (n + 1) integer system m, divided by scale.
-
-    After elimination the last pivot d is the determinant of the (row
-    permuted) system, and by Cramer's rule X = d x is an integer vector, so
-    back-substitution stays in the integers with exact divisions.  The
-    result is X / (d * scale): one Fraction per unknown.  None when
-    elimination fails.
-    """
-    if _bareiss(m, n, definite) == 0:
+    m = [
+        [-gram[i][j] for j in sup] + [-t.numerator * (scale // t.denominator)]
+        for i, t in zip(sup, tgt)
+    ]
+    if not _bareiss(m, n):
         return None
-    d = m[n - 1][n - 1] if n else 1
+    d = m[n - 1][n - 1]
     xs = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
@@ -389,7 +264,36 @@ def _solve_rows(
             acc -= row[j] * xs[j]
         xs[i] = acc // row[i]
     den = d * scale
-    return [Fraction(x, den) for x in xs]
+    coeffs = [_ZERO] * lattice.rank
+    for idx, x in zip(sup, xs):
+        coeffs[idx] = Fraction(x, den)
+    return DivisorClass(lattice, tuple(coeffs))
+
+
+def _bareiss(m: list[list[int]], n: int) -> bool:
+    """Fraction-free elimination of the first n columns of m, in place.
+
+    Columns past n (a right-hand side) are carried along.  The update
+    (a_ij p - a_ik a_kj) / p_prev divides exactly (Bareiss 1968), so every
+    entry stays an integer.  Rows are never swapped, so the k-th pivot is
+    the k-th leading principal minor of m; the pass fails, returning
+    False, at the first pivot that is not positive, and succeeds exactly
+    when the leading n x n block, symmetric here, is positive definite
+    (Sylvester).
+    """
+    prev = 1
+    for k in range(n):
+        pivot_row = m[k]
+        p = pivot_row[k]
+        if p <= 0:
+            return False
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            row[k + 1 :] = [(x * p - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = p
+    return True
 
 
 def arithmetic_genus(

@@ -39,7 +39,7 @@ from .lattice import (
     build_lattice,
     pair,
     pair_with_basis,
-    solve_negative_definite,
+    solve_against_gram,
 )
 from .zariski import (
     ZariskiDecomposition,
@@ -60,7 +60,6 @@ class Scenario:
     kappa_nonneg: Optional[bool] = None
     ruled: Optional[bool] = None
     minus_one_classes: tuple[str, ...] = ()
-    base_genus: Optional[int] = None
 
 
 def validate_scenario(lattice: IntersectionLattice, scenario: Scenario) -> None:
@@ -71,10 +70,6 @@ def validate_scenario(lattice: IntersectionLattice, scenario: Scenario) -> None:
             raise ValidationError("DF is only meaningful in a pencil scenario")
         if not isinstance(scenario.df, int) or scenario.df < 1:
             raise ValidationError("DF must be a positive integer")
-    if scenario.base_genus is not None and (
-        not isinstance(scenario.base_genus, int) or scenario.base_genus < 0
-    ):
-        raise ValidationError("base_genus must be a nonnegative integer")
     for label in scenario.minus_one_classes:
         idx = lattice.index(label)
         if lattice.gram[idx][idx] != -1:
@@ -497,7 +492,7 @@ def log_pair_iterate(
                 )
             sup = sorted(positions[p] for p in visited)
             targets = [pair_with_basis(kd, i) for i in sup]
-            solved = solve_negative_definite(lattice, sup, targets)
+            solved = solve_against_gram(lattice, sup, targets)
             if solved is None:
                 raise NotPseudoEffectiveError(
                     "visited components do not span a negative definite subset"
@@ -685,14 +680,22 @@ class CatalogEntry:
     m0_squared: int
 
 
+# The catalog has about d / 2 entries, each checked on its own lattice, so
+# time and output grow linearly in d; this keeps a run well under a second.
+CATALOG_MAX_D = 10_000
+
+
 def catalog_degree_dminus1(d: int) -> tuple[CatalogEntry, ...]:
     """All model classes of self-intersection d - 1 on the listed surfaces.
 
     Every entry's self-intersection is recomputed on the surface's actual
-    lattice rather than trusted from the closed form.
+    lattice rather than trusted from the closed form.  d runs from 2 to
+    CATALOG_MAX_D.
     """
     if not isinstance(d, int) or d < 2:
         raise DTooSmallError(f"catalog starts at d = 2, got {d!r}")
+    if d > CATALOG_MAX_D:
+        raise ValidationError(f"catalog stops at d = {CATALOG_MAX_D}, got {d}")
     entries: list[CatalogEntry] = []
 
     def plane_entry(case_id: int, mult: int) -> CatalogEntry:

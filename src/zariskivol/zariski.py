@@ -17,6 +17,7 @@ from .errors import (
     NegativeOffDiagonalError,
     NotPseudoEffectiveError,
     SplitMismatchError,
+    ValidationError,
 )
 from .lattice import (
     DivisorClass,
@@ -27,7 +28,6 @@ from .lattice import (
     pair,
     pair_with_basis,
     solve_against_gram,
-    solve_negative_definite,
 )
 
 
@@ -62,7 +62,7 @@ def zariski_decompose(lattice: IntersectionLattice, d: DivisorClass) -> ZariskiD
             return ZariskiDecomposition(d, lattice.zero(), (), ())
         sup = normalize_support(lattice, support)
         targets = [pair_with_basis(d, i) for i in sup]
-        negative = solve_negative_definite(lattice, sup, targets)
+        negative = solve_against_gram(lattice, sup, targets)
         if negative is None:
             raise NotPseudoEffectiveError(
                 "candidate support {} is not negative definite".format(
@@ -114,7 +114,8 @@ def star_lift(lattice: IntersectionLattice, base: DivisorClass, n_support) -> St
     """Add a combination of the support classes to kill all pairings with them.
 
     Returns base plus the unique correction supported on the subset such
-    that the lifted class is orthogonal to every class of the subset.
+    that the lifted class is orthogonal to every class of the subset.  The
+    subset must be negative definite, as the support of a negative part is.
     """
     _require_lattice(lattice, base)
     sup = normalize_support(lattice, n_support)
@@ -122,6 +123,12 @@ def star_lift(lattice: IntersectionLattice, base: DivisorClass, n_support) -> St
         return StarLift(base, base, (), ())
     targets = [-pair_with_basis(base, i) for i in sup]
     corr = solve_against_gram(lattice, sup, targets)
+    if corr is None:
+        raise ValidationError(
+            "star lift support {} is not negative definite".format(
+                [lattice.names[i] for i in sup]
+            )
+        )
     lifted = base + corr
     return StarLift(base, lifted, sup, tuple(corr.coeffs[i] for i in sup))
 

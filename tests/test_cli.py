@@ -495,6 +495,21 @@ def test_einv_max_support_below_one_names_the_flag(tmp_path, capsys):
         assert err == f"error: --max-support must be a positive integer, got {cap}\n"
 
 
+def test_workspace_with_base_genus_is_a_validation_error(tmp_path, capsys):
+    scenario = dict(GOLDEN_CONFIG["scenario"], base_genus=0)
+    cfg = write(tmp_path, dict(GOLDEN_CONFIG, scenario=scenario))
+    code, out, err = run(capsys, ["zariski", "--config", cfg, "--divisor", "D"])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown scenario keys: base_genus\n"
+
+
+@pytest.mark.parametrize("d", ["10001", "1000000"])
+def test_catalog_d_above_the_limit_is_a_validation_error(capsys, d):
+    code, out, err = run(capsys, ["catalog", "--d", d])
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog stops at d = 10000, got {d}\n"
+
+
 LONG_INTEGER = "1" + "0" * 4999
 ONE_CURVE_WITH_D = '{"lattice": {"curves": ["C"], "gram": [[-2]]}, "divisors": {"D": [%s]}}'
 

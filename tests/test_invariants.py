@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zariskivol import build_lattice, divisor
+from zariskivol import build_lattice, chain_spec, divisor, foliation_negative_part
 from zariskivol.errors import (
     NegativePatternError,
     NotNEquivalentError,
@@ -18,11 +18,11 @@ from zariskivol.invariants import (
     verify_e_inequality,
     weighted_square_inequality,
 )
-from zariskivol.lattice import solve_against_gram
-from zariskivol.zariski import zariski_decompose
+from zariskivol.lattice import DivisorClass, solve_against_gram
+from zariskivol.zariski import ZariskiDecomposition, zariski_decompose
 
 from generators import random_config, random_split
-from oracles import slope_grid_max
+from oracles import negdef_minors, slope_grid_max, solve_frac
 
 
 @pytest.fixture
@@ -159,6 +159,50 @@ def test_e_sup_against_grid_oracle(rng):
             assert grid == res.value
         checked += 1
     assert checked >= 40
+
+
+def _stieltjes_negative_part(rng, s):
+    """Negative definite support with off-diagonals >= 0 and random gamma >= 0."""
+    while True:
+        gram = [[0] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(i + 1, s):
+                gram[i][j] = gram[j][i] = rng.choice((0, 0, 0, 1, 1, 2))
+        for i in range(s):
+            # near the diagonal-dominance edge, so some draws fail the test
+            gram[i][i] = -max(1, sum(gram[i]) + rng.randint(-1, 2))
+        if negdef_minors(gram):
+            break
+    lattice = build_lattice(tuple(f"C{i}" for i in range(s)), gram)
+    gamma = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(s))
+    negative = DivisorClass(lattice, gamma)
+    return lattice, ZariskiDecomposition(lattice.zero(), negative, tuple(range(s)), gamma)
+
+
+def test_e_sup_matches_stieltjes_closed_form(rng):
+    """e_sup = max_k gamma_k / B_kk with B = (-G)^-1, attained at a singleton.
+
+    -G is a Stieltjes matrix, so B >= 0 entrywise and every candidate of
+    the enumeration is at most that maximum (mediant inequality).
+    """
+    cases = [_stieltjes_negative_part(rng, 1 + k % 8) for k in range(200)]
+    for _ in range(40):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+        specs = [chain_spec([rng.randint(2, 5) for _ in range(r)]) for r in lengths]
+        cases.append(foliation_negative_part(specs))
+    for lattice, dec in cases:
+        s = len(dec.support)
+        neg_gram = [[-lattice.gram[i][j] for j in dec.support] for i in dec.support]
+        ratios = [
+            g / solve_frac(neg_gram, [int(j == k) for j in range(s)])[k]
+            for k, g in enumerate(dec.gamma)
+        ]
+        best = max(ratios)
+        k_star = max(k for k, r in enumerate(ratios) if r == best)
+        res = e_sup(lattice, dec)
+        assert res.value == best
+        assert res.witness_pattern == tuple(int(j == k_star) for j in range(s))
+        assert res.attained and res.witness_ray is None
 
 
 def test_verify_slope_inequality_golden(golden):

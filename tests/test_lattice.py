@@ -10,22 +10,19 @@ from zariskivol.errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     LatticeMismatchError,
-    SingularSystemError,
     ValidationError,
 )
 from zariskivol.lattice import (
+    _bareiss,
     arithmetic_genus,
     as_rational,
-    det_int,
-    is_negative_definite,
     normalize_support,
     off_diagonal_nonnegative,
     pair_with_basis,
     parse_rational,
     solve_against_gram,
-    solve_exact,
-    solve_negative_definite,
 )
+from zariskivol.zariski import star_lift
 
 from oracles import det_frac, negdef_eigen, negdef_minors, negdef_vectors, solve_frac
 
@@ -97,16 +94,9 @@ def test_pair_rejects_mixed_lattices(chain22, disjoint_chain):
         pair(divisor(chain22, (1, 0)), divisor(disjoint_chain, (1, 0, 0)))
 
 
-def test_det_int_matches_oracle(rng):
-    for _ in range(80):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert det_int(rows) == det_frac(rows)
-
-
-def test_det_int_singular():
-    assert det_int([[1, 2], [2, 4]]) == 0
-    assert det_int([[0, 0], [0, 0]]) == 0
+def _definite(lattice, support):
+    """Negative definiteness as the solver decides it."""
+    return solve_against_gram(lattice, support, [0] * len(support)) is not None
 
 
 def test_negative_definite_matches_oracles(rng):
@@ -121,7 +111,7 @@ def test_negative_definite_matches_oracles(rng):
         lattice = build_lattice(
             tuple(f"C{i}" for i in range(n)), tuple(tuple(r) for r in rows)
         )
-        got = is_negative_definite(lattice, range(n))
+        got = _definite(lattice, range(n))
         assert got == negdef_eigen(rows)
         if n <= 3:
             assert got == negdef_vectors(rows, box=3)
@@ -130,23 +120,10 @@ def test_negative_definite_matches_oracles(rng):
 
 
 def test_negative_definite_on_subsets(disjoint_chain):
-    assert is_negative_definite(disjoint_chain, (1, 2))
-    assert is_negative_definite(disjoint_chain, (2,))
-    assert not is_negative_definite(disjoint_chain, (0,))
-    assert is_negative_definite(disjoint_chain, ())
-
-
-def test_solve_exact_matches_oracle(rng):
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        rhs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        expected = solve_frac(rows, rhs)
-        if expected is None:
-            with pytest.raises(SingularSystemError):
-                solve_exact(rows, rhs)
-        else:
-            assert solve_exact(rows, rhs) == expected
+    assert _definite(disjoint_chain, (1, 2))
+    assert _definite(disjoint_chain, (2,))
+    assert not _definite(disjoint_chain, (0,))
+    assert not _definite(disjoint_chain, (0, 1, 2))
 
 
 TARGET_VALUES = (Fraction(1, 3), Fraction(5, 7), Fraction(-2), Fraction(0), Fraction(-1, 2))
@@ -194,44 +171,27 @@ def test_gram_solves_match_oracle(rng):
         lattice = _with_extra_class(rows)
         targets = [rng.choice(TARGET_VALUES) for _ in range(n)]
         expected = solve_frac(rows, targets)
-        fused = solve_negative_definite(lattice, range(1, n + 1), targets)
+        solved = solve_against_gram(lattice, range(1, n + 1), targets)
+        singular += expected is None
         if not negdef_minors(rows):
-            assert fused is None, rows
+            assert solved is None, rows
         else:
             definite += 1
-            assert fused.coeffs == (0, *expected)
-        if expected is None:
-            singular += 1
-            with pytest.raises(SingularSystemError):
-                solve_against_gram(lattice, range(1, n + 1), targets)
-            with pytest.raises(SingularSystemError):
-                solve_exact(rows, targets)
-        else:
-            solved = solve_against_gram(lattice, range(1, n + 1), targets)
             assert solved.coeffs == (0, *expected)
-            assert solve_exact(rows, targets) == expected
     assert singular > 20 and definite > 40
 
 
-def test_solve_exact_mixed_denominators_matches_oracle(rng):
-    singular = 0
-    for k in range(160):
-        n = 1 + k % 8
-        rows = [
-            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(n)]
-            for _ in range(n)
-        ]
-        if k % 5 == 0 and n > 1:
-            rows[-1] = [2 * x for x in rows[0]]  # force a singular system
-        rhs = [rng.choice(TARGET_VALUES) for _ in range(n)]
-        expected = solve_frac(rows, rhs)
-        if expected is None:
-            singular += 1
-            with pytest.raises(SingularSystemError):
-                solve_exact(rows, rhs)
-        else:
-            assert solve_exact(rows, rhs) == expected
-    assert singular >= 10
+def test_bareiss_pivots_are_the_leading_principal_minors(rng):
+    """The exact division keeps every pivot a minor of -G, not a multiple."""
+    checked = 0
+    for rows in _symmetric_systems(rng):
+        n = len(rows)
+        m = [[-x for x in row] for row in rows]
+        minors = [det_frac([r[: k + 1] for r in m[: k + 1]]) for k in range(n)]
+        if _bareiss(m, n):
+            checked += 1
+            assert [m[k][k] for k in range(n)] == minors
+    assert checked > 40
 
 
 def test_negative_definite_matches_eigen_oracle_up_to_six(rng):
@@ -240,7 +200,7 @@ def test_negative_definite_matches_eigen_oracle_up_to_six(rng):
         n = len(rows)
         if n <= 6:
             lattice = build_lattice(tuple(f"C{i}" for i in range(n)), rows)
-            got = is_negative_definite(lattice, range(n))
+            got = _definite(lattice, range(n))
             assert got == negdef_eigen(rows), rows
             answers.add(got)
     assert answers == {True, False}
@@ -248,12 +208,20 @@ def test_negative_definite_matches_eigen_oracle_up_to_six(rng):
 
 def test_fused_solve_rejects_bad_input(disjoint_chain):
     with pytest.raises(EmptySubsetError):
-        solve_negative_definite(disjoint_chain, (), ())
+        solve_against_gram(disjoint_chain, (), ())
     with pytest.raises(DimensionMismatchError):
-        solve_negative_definite(disjoint_chain, (1, 2), (1,))
-    assert solve_negative_definite(disjoint_chain, (0, 1), (1, 1)) is None
+        solve_against_gram(disjoint_chain, (1, 2), (1,))
+    assert solve_against_gram(disjoint_chain, (0, 1), (1, 1)) is None
     semidefinite = build_lattice(("A", "B"), ((-1, 1), (1, -1)))
-    assert solve_negative_definite(semidefinite, (0, 1), (Fraction(1, 3), Fraction(5, 7))) is None
+    assert solve_against_gram(semidefinite, (0, 1), (Fraction(1, 3), Fraction(5, 7))) is None
+
+
+def test_star_lift_rejects_an_indefinite_support():
+    lattice = build_lattice(("A", "B", "H"), ((-1, 2, 0), (2, -1, 0), (0, 0, 1)))
+    base = divisor(lattice, (0, 0, 1))
+    with pytest.raises(ValidationError) as info:
+        star_lift(lattice, base, (0, 1))
+    assert str(info.value) == "star lift support ['A', 'B'] is not negative definite"
 
 
 def test_long_rational_literal_is_a_validation_error():
@@ -266,8 +234,6 @@ def test_solve_against_gram_embeds(disjoint_chain):
     assert sol.coeffs[0] == 0
     assert pair_with_basis(sol, 1) == -1
     assert pair_with_basis(sol, 2) == 0
-    with pytest.raises(EmptySubsetError):
-        solve_against_gram(disjoint_chain, (), ())
 
 
 def test_support_helpers(disjoint_chain):

@@ -82,8 +82,6 @@ def test_scenario_validation(golden):
     with pytest.raises(ValidationError):
         validate_scenario(lattice, Scenario(h0=2, pencil=True, df=0))
     with pytest.raises(ValidationError):
-        validate_scenario(lattice, Scenario(h0=3, base_genus=-1))
-    with pytest.raises(ValidationError):
         validate_scenario(lattice, Scenario(h0=3, minus_one_classes=("G1",)))
 
 
