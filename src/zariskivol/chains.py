@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidChainError, InvariantViolationError, ValidationError
-from .invariants import ExceptionalSolution, e_sup, exceptional_solution
+from .invariants import ExceptionalSolution, exceptional_solution
 from .lattice import DivisorClass, IntersectionLattice, build_lattice
 from .zariski import ZariskiDecomposition
 
@@ -200,18 +200,21 @@ def foliation_negative_part(
 
 
 def foliation_e(chain_specs: Sequence[ChainSpec], m: int = 1) -> Fraction:
-    """Slope supremum of m times the assembled negative part.
+    """Slope supremum of m times the assembled negative part: exactly m.
 
-    The capped pattern, and with it the exceptional solution beta, never
-    depends on gamma, so every candidate ratio of the supremum for m N is m
-    times the one for N: the supremum is m times the supremum at m = 1,
-    with the same witness, and e_sup runs once.  The scaled value is
-    asserted not to exceed m before it is returned.
+    The slope supremum is max_k gamma_k / B_kk with B = (-G)^-1: B >= 0
+    (see e_sup), so by the mediant inequality no vertex beats the singleton
+    attaining it.  B is block-diagonal over the disjoint chains, so this is
+    the largest of the per-chain values.  On a chain [e_1, ..., e_r] let P_j be
+    the continuant [e_1, ..., e_j], with P_0 = 1.  By the tridiagonal
+    inverse B_kk = P_{k-1} lambda_k / n, and gamma_k = lambda_k / n, so
+    gamma_k / B_kk = 1 / P_{k-1}.  Since P_1 = e_1 >= 2 and every
+    e_j >= 2 makes the continuants increase strictly, the maximum is 1, at
+    the first curve.  Scaling N by m scales gamma and nothing else, so the
+    assembly of m N has slope m, and no lattice is assembled or solved.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError("scale must be a positive integer")
-    lattice, dec = foliation_negative_part(chain_specs)
-    value = m * e_sup(lattice, dec, max_support=max(16, len(dec.support))).value
-    if value > m:
-        raise InvariantViolationError("scaled slope supremum exceeds the scale")
-    return value
+    if not chain_specs:
+        raise ValidationError("need at least one chain")
+    return Fraction(m)

@@ -185,6 +185,8 @@ def e_zero(decomposition: ZariskiDecomposition) -> Fraction:
 
 @dataclass(frozen=True)
 class EInvariantResult:
+    # e_sup always attains its value at a vertex: attained is always True and
+    # witness_ray always None.  Both stay as public API and in the einv report.
     value: Fraction
     attained: bool
     witness_pattern: Optional[tuple[int, ...]]
@@ -199,12 +201,14 @@ def e_sup(
 ) -> EInvariantResult:
     """Supremum of the slope over all nonzero nonnegative integer patterns.
 
-    For a fixed support subset of the pattern the slope is a ratio of two
-    linear forms, so its extreme values sit at the all-ones vertex of the
-    subset and in the limits along its coordinate rays.  All candidates are
-    enumerated exactly.  The witness is the lexicographically smallest
-    maximizing vertex pattern; a ray witness is reported only if no vertex
-    attains the value.
+    On a support subset sigma the slope is a ratio of two linear forms, so
+    its extremes sit at the all-ones vertex of sigma and at the ray limits
+    gamma_k / beta_k(sigma).  The support has off-diagonals >= 0 and is
+    negative definite, so -G is a Stieltjes matrix and B = (-G)^-1 >= 0
+    (Berman and Plemmons): beta_k(sigma) = sum_{j in sigma} B_kj >= B_kk,
+    and with gamma >= 0 no ray beats the singleton vertex {k}.  So only the
+    vertices are enumerated, exactly; a negative gamma_k is rejected first.
+    The witness is the lexicographically smallest maximizing vertex.
     """
     sup = decomposition.support
     s = len(sup)
@@ -217,46 +221,34 @@ def e_sup(
         return EInvariantResult(Fraction(0), True, (), None, ez)
     _check_off_diagonal(lattice, sup)
     gamma = decomposition.gamma
+    for idx, g in zip(sup, gamma):
+        if g < 0:
+            raise ValidationError(
+                f"negative part has coefficient {g} < 0 on {lattice.names[idx]!r}"
+            )
 
     best = Fraction(0)
     vertex_hits: list[tuple[int, ...]] = []
-    ray_hits: list[tuple[tuple[int, ...], int]] = []
     for mask in range(1, 1 << s):
         sigma = [k for k in range(s) if mask >> k & 1]
         vertex_pat = tuple(1 if k in sigma else 0 for k in range(s))
         sol = solve_against_gram(lattice, sup, [-v for v in vertex_pat])
         if sol is None:
             raise NotPseudoEffectiveError(_NOT_DEFINITE)
-        beta = [sol.coeffs[i] for i in sup]
         num = sum((gamma[k] for k in sigma), Fraction(0))
-        den = sum((beta[k] for k in sigma), Fraction(0))
+        den = sum((sol.coeffs[sup[k]] for k in sigma), Fraction(0))
         if den <= 0:
             raise InvariantViolationError("vertex denominator is not positive")
         vval = num / den
         if vval > best:
             best = vval
             vertex_hits = [vertex_pat]
-            ray_hits = []
         elif vval == best:
             vertex_hits.append(vertex_pat)
-        for k in sigma:
-            if beta[k] <= 0:
-                raise InvariantViolationError("ray denominator is not positive")
-            rval = gamma[k] / beta[k]
-            if rval > best:
-                best = rval
-                vertex_hits = []
-                ray_hits = [(vertex_pat, k)]
-            elif rval == best:
-                ray_hits.append((vertex_pat, k))
 
     if best > ez:
         raise InvariantViolationError("slope supremum exceeded the diagonal bound")
-    if vertex_hits:
-        witness = min(vertex_hits)
-        return EInvariantResult(best, True, witness, None, ez)
-    ray = min(ray_hits)
-    return EInvariantResult(best, False, None, ray, ez)
+    return EInvariantResult(best, True, min(vertex_hits), None, ez)
 
 
 @dataclass(frozen=True)
@@ -300,13 +292,13 @@ def verify_e_inequality(
         if not isinstance(n_mult, int) or n_mult < 1:
             raise ValidationError("fibre multiple must be a positive integer")
         _require_lattice(lattice, fibre)
-        for i in sup:
+        for i, t in zip(sup, pat):
             fv = pair_with_basis(fibre, i)
             if fv < 0 or fv.denominator != 1:
                 raise NotNEquivalentError(
                     "fibre class must pair like a fibre: nonnegative integers on the support"
                 )
-            if pair_with_basis(a, i) != n_mult * fv:
+            if t != n_mult * fv:
                 raise NotNEquivalentError(
                     "divisor does not pair like the stated fibre multiple on the support"
                 )

@@ -12,7 +12,12 @@ from fractions import Fraction
 from itertools import product
 
 from zariskivol import build_lattice, divisor
-from zariskivol.chains import chain_spec, classify_chain_equality, foliation_e
+from zariskivol.chains import (
+    chain_spec,
+    classify_chain_equality,
+    foliation_e,
+    foliation_negative_part,
+)
 from zariskivol.cli import main
 from zariskivol.errors import NotPseudoEffectiveError
 from zariskivol.invariants import (
@@ -164,6 +169,7 @@ def test_criterion_4_assembly_slope_scaling(capsys, rng):
                 continue
             specs = [chain_spec(seq) for seq in seqs]
             base = foliation_e(specs, 1)
+            assert base == e_sup(*foliation_negative_part(specs)).value
             for m in range(1, 6):
                 value = foliation_e(specs, m)
                 assert value == m * base
@@ -172,7 +178,9 @@ def test_criterion_4_assembly_slope_scaling(capsys, rng):
         singles = 0
         for r in range(1, 6):
             for seq in product((2, 3, 4, 5), repeat=r):
-                assert foliation_e([chain_spec(seq)], 1) == 1
+                specs = [chain_spec(seq)]
+                assert foliation_e(specs, 1) == 1
+                assert e_sup(*foliation_negative_part(specs)).value == 1
                 singles += 1
         elapsed = time.monotonic() - start
         line.detail = (

@@ -142,19 +142,23 @@ def test_foliation_assembly_needs_chains():
 
 def test_foliation_slope_scales_linearly():
     specs = [chain_spec((2, 2)), chain_spec((3,))]
-    assert foliation_e(specs, 1) == 1
+    assert foliation_e(specs, 1) == 1 == e_sup(*foliation_negative_part(specs)).value
     assert foliation_e(specs, 3) == 3
-    assert foliation_e([chain_spec((4, 2, 3))], 2) == 2
+    single = [chain_spec((4, 2, 3))]
+    assert foliation_e(single, 2) == 2 * e_sup(*foliation_negative_part(single)).value == 2
 
 
 def test_single_chain_slope_is_one():
     for r in (1, 2, 3):
         for seq in product((2, 3, 4), repeat=r):
-            assert foliation_e([chain_spec(seq)], 1) == 1
+            specs = [chain_spec(seq)]
+            assert foliation_e(specs, 1) == 1
+            assert e_sup(*foliation_negative_part(specs)).value == 1
 
 
 def test_foliation_slope_matches_direct_scaled_supremum():
-    # foliation_e runs e_sup once on N; the reference runs it on m N itself.
+    # foliation_e returns m by the continuant proof; the reference runs
+    # e_sup on m N itself.
     rng = random.Random(20261017)
     assemblies = [
         [tuple(rng.choice((2, 3, 4, 5)) for _ in range(length)) for length in lengths]
@@ -169,6 +173,11 @@ def test_foliation_slope_matches_direct_scaled_supremum():
                 dec.positive, m * dec.negative, dec.support, tuple(m * g for g in dec.gamma)
             )
             assert foliation_e(specs, m) == e_sup(lattice, scaled).value, (seqs, m)
+
+
+def test_foliation_slope_needs_chains():
+    with pytest.raises(ValidationError, match="need at least one chain"):
+        foliation_e([], 1)
 
 
 @pytest.mark.parametrize("scale", [0, -1, True, "2"])

@@ -200,6 +200,28 @@ def test_foliation_assembly(capsys):
     assert report["within_cap"] is True
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_chain_slope_of_a_long_chain_needs_no_enumeration(capsys, json_flag):
+    # 2^24 - 1 subset solves if the slope were enumerated.
+    code, out, _ = run(capsys, ["chain", "--e", ",".join(["2"] * 24)] + json_flag)
+    assert code == 0
+    if json_flag:
+        assert json.loads(out)["chains"][0]["e_invariant"] == "1"
+    else:
+        assert "    e_invariant: 1\n" in out
+
+
+def test_foliation_slope_of_long_chains_needs_no_enumeration(capsys):
+    twelve = ",".join(["2"] * 12)
+    code, out, _ = run(
+        capsys, ["foliation", "--e", twelve, "--e", twelve, "--scale", "3", "--json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["e_invariant"] == "3"
+    assert report["within_cap"] is True
+
+
 def test_foliation_bound_mode(capsys):
     code, out, _ = run(
         capsys, ["foliation", "--pm", "3", "--mm", "2", "--pencil", "--json"]

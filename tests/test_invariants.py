@@ -141,6 +141,27 @@ def test_e_sup_support_cap():
         e_sup(chain, dec, max_support=1)
 
 
+def test_e_sup_rejects_a_negative_gamma_naming_the_curve():
+    chain = build_lattice(("C1", "C2"), ((-2, 1), (1, -2)))
+    gamma = (Fraction(-1), Fraction(-1, 2))
+    dec = ZariskiDecomposition(chain.zero(), DivisorClass(chain, gamma), (0, 1), gamma)
+    with pytest.raises(ValidationError, match="'C1'"):
+        e_sup(chain, dec)
+    mixed = (Fraction(1, 2), Fraction(-1, 3))
+    dec = ZariskiDecomposition(chain.zero(), DivisorClass(chain, mixed), (0, 1), mixed)
+    with pytest.raises(ValidationError, match="'C2'"):
+        e_sup(chain, dec)
+
+
+def test_e_sup_allows_a_zero_gamma():
+    chain = build_lattice(("C1", "C2"), ((-2, 1), (1, -2)))
+    gamma = (Fraction(0), Fraction(0))
+    dec = ZariskiDecomposition(chain.zero(), DivisorClass(chain, gamma), (0, 1), gamma)
+    res = e_sup(chain, dec)
+    assert res.value == 0
+    assert res.witness_pattern == (0, 1)
+
+
 def test_e_sup_against_grid_oracle(rng):
     checked = 0
     for _ in range(300):
