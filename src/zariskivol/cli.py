@@ -19,7 +19,7 @@ from typing import Optional
 from .chains import chain_spec, foliation_e
 from .config import Workspace, load_workspace
 from .errors import MissingSectionError, UsageError, ValidationError, ZariskivolError
-from .invariants import e_of_divisor_pair, e_sup, e_zero, verify_e_inequality
+from .invariants import e_sup, verify_e_inequality
 from .lattice import DivisorClass, as_rational, pair
 from .noether import (
     catalog_degree_dminus1,
@@ -179,15 +179,15 @@ def _cmd_einv(workspace, options):
         raise ValidationError(f"--max-support must be a positive integer, got {cap}")
     ws = _need_workspace(workspace)
     label = _need(options, "divisor", "--divisor")
+    scaled = options.get("fibre") is not None or options.get("fibre_mult") is not None
+    if scaled:  # the scaled check needs --m, --fibre and --fibre-mult together
+        for key, flag in (("m", "--m"), ("fibre", "--fibre"), ("fibre_mult", "--fibre-mult")):
+            _need(options, key, flag)
     d = ws.divisor(label)
     dec = zariski_decompose(ws.lattice, d)
     result = e_sup(ws.lattice, dec, max_support=16 if cap is None else cap)
     names = ws.lattice.names
     sup_labels = [names[i] for i in dec.support]
-
-    def pattern_dict(pattern):
-        return {lbl: t for lbl, t in zip(sup_labels, pattern)}
-
     report = {
         "command": "einv",
         "divisor": label,
@@ -196,21 +196,14 @@ def _cmd_einv(workspace, options):
         "e_sup": {
             "value": _frac(result.value),
             "attained": result.attained,
-            "witness_pattern": None
-            if result.witness_pattern is None
-            else pattern_dict(result.witness_pattern),
-            "witness_ray": None
-            if result.witness_ray is None
-            else {
-                "pattern": pattern_dict(result.witness_ray[0]),
-                "ray": sup_labels[result.witness_ray[1]],
-            },
+            "witness_pattern": dict(zip(sup_labels, result.witness_pattern)),
+            "witness_ray": result.witness_ray,
         },
     }
     if options.get("m") is not None:
         a = ws.divisor(options["m"])
         fibre_data = None
-        if options.get("fibre") is not None and options.get("fibre_mult") is not None:
+        if scaled:
             fibre_data = (options["fibre_mult"], ws.divisor(options["fibre"]))
         slack = verify_e_inequality(ws.lattice, dec, a, fibre_data)
         report["against"] = {

@@ -20,6 +20,7 @@ from .errors import (
     InconsistentTripleError,
     InvariantViolationError,
     IterationDivergedError,
+    NegativeOffDiagonalError,
     NonIntegralMultipleError,
     NotFibreMultipleError,
     NotPseudoEffectiveError,
@@ -36,7 +37,7 @@ from .lattice import (
     _require_lattice,
     arithmetic_genus,
     as_rational,
-    build_lattice,
+    off_diagonal_nonnegative,
     pair,
     pair_with_basis,
     solve_against_gram,
@@ -423,9 +424,11 @@ def log_pair_iterate(
     revisited component whose step shrank the tail is completed exactly by
     solving the orthogonality system on everything visited so far; a
     revisit whose step did not shrink means the mass diverges and the pair
-    is not pseudo-effective in the configuration.  The accumulated totals
-    are cross-checked against the Zariski negative part, which also
-    certifies that the iteration's limit is order-independent.
+    is not pseudo-effective in the configuration.  The totals N are
+    certified by the Zariski axioms, which determine the negative part
+    uniquely (Bauer 2009): K + Delta - N pairs nonnegatively with every
+    class and to 0 with Supp N, whose classes meet nonnegatively and
+    which one elimination shows negative definite; N >= 0 by construction.
     """
     _require_lattice(lattice, k)
     if not isinstance(n, int) or n < 1:
@@ -524,12 +527,24 @@ def log_pair_iterate(
     for p in range(r):
         if acc[p] != 0:
             negative = negative + acc[p] * lattice.basis(positions[p])
-    dec = zariski_decompose(lattice, kd)
-    if dec.negative != negative:
-        raise InvariantViolationError(
-            "component iteration disagrees with the direct decomposition; "
-            "the class pairs negatively with something outside the declared components"
-        )
+    positive = kd - negative
+    support = negative.support()
+    labels = [lattice.names[i] for i in support]
+    for i in range(lattice.rank):
+        t = pair_with_basis(positive, i)
+        if t < 0 or (t > 0 and i in support):
+            raise InvariantViolationError(
+                f"K + Delta - N pairs to {t} with {lattice.names[i]!r}; it must pair "
+                "nonnegatively with every class and to 0 with the support"
+            )
+    if not off_diagonal_nonnegative(lattice, support):
+        raise NegativeOffDiagonalError(f"classes of the support {labels} pair negatively")
+    # only the verdict is needed: the elimination proves definiteness
+    if support and solve_against_gram(lattice, support, [0] * len(support)) is None:
+        raise NotPseudoEffectiveError(f"support {labels} is not negative definite")
+    dec = ZariskiDecomposition(
+        positive, negative, support, tuple(negative.coeffs[i] for i in support)
+    )
 
     comp_checks: list[ComponentCheck] = []
     for p in range(r):
@@ -680,16 +695,16 @@ class CatalogEntry:
     m0_squared: int
 
 
-# The catalog has about d / 2 entries, each checked on its own lattice, so
-# time and output grow linearly in d; this keeps a run well under a second.
+# The catalog has about d / 2 entries, so time and output grow linearly
+# in d; this keeps a run well under a second.
 CATALOG_MAX_D = 10_000
 
 
 def catalog_degree_dminus1(d: int) -> tuple[CatalogEntry, ...]:
     """All model classes of self-intersection d - 1 on the listed surfaces.
 
-    Every entry's self-intersection is recomputed on the surface's actual
-    lattice rather than trusted from the closed form.  d runs from 2 to
+    Squares come from the closed forms (mL)^2 = m^2 on P2 and
+    (C + fF)^2 = 2f - e on F_e, in integers.  d runs from 2 to
     CATALOG_MAX_D.
     """
     if not isinstance(d, int) or d < 2:
@@ -699,29 +714,18 @@ def catalog_degree_dminus1(d: int) -> tuple[CatalogEntry, ...]:
     entries: list[CatalogEntry] = []
 
     def plane_entry(case_id: int, mult: int) -> CatalogEntry:
-        plane = build_lattice(("L",), ((1,),))
-        m0 = mult * plane.basis(0)
-        sq = pair(m0, m0)
-        if sq != d - 1:
-            raise InvariantViolationError("plane model self-intersection mismatch")
         desc = "L" if mult == 1 else f"{mult}L"
-        return CatalogEntry(case_id, d, "P2", None, desc, int(sq))
+        return CatalogEntry(case_id, d, "P2", None, desc, mult * mult)
 
     def ruled_entry(case_id: int, e: int, fmult: int) -> CatalogEntry:
-        surf = build_lattice(("C", "F"), ((-e, 1), (1, 0)))
-        m0 = surf.basis(0) + fmult * surf.basis(1)
-        sq = pair(m0, m0)
-        if sq != d - 1:
-            raise InvariantViolationError("ruled model self-intersection mismatch")
-        return CatalogEntry(case_id, d, f"F{e}", e, f"C + {fmult}F", int(sq))
+        return CatalogEntry(case_id, d, f"F{e}", e, f"C + {fmult}F", 2 * fmult - e)
 
     if d == 2:
         entries.append(plane_entry(1, 1))
     if d == 5:
         entries.append(plane_entry(2, 2))
-    for e in range(0, d - 2):
-        if (d - e - 3) >= 0 and (d - e - 3) % 2 == 0:
-            entries.append(ruled_entry(3, e, (d + e - 1) // 2))
+    for e in range((d - 3) % 2, d - 2, 2):
+        entries.append(ruled_entry(3, e, (d + e - 1) // 2))
     if d >= 3:
         entries.append(ruled_entry(4, d - 1, d - 1))
     return tuple(entries)

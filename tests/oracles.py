@@ -191,3 +191,27 @@ def cf_value(e_seq):
     for e in reversed(e_seq[:-1]):
         val = e - 1 / val
     return val
+
+
+def catalog_square(surface, e, m0_description):
+    """Self-intersection of a catalog class, from its surface's own Gram.
+
+    P2 has the 1x1 Gram [[1]] on the line L, F_e the 2x2 Gram
+    [[-e, 1], [1, 0]] on the section C and the fibre F; the class is read
+    off its description ("L", "mL" or "C + fF") and squared in integers.
+    """
+    if surface == "P2":
+        assert e is None
+        gram = [[1]]
+        mult = m0_description[:-1]
+        assert m0_description.endswith("L") and (mult == "" or mult.isdigit())
+        coeffs = [int(mult or "1")]
+    else:
+        assert surface == f"F{e}" and e >= 0
+        gram = [[-e, 1], [1, 0]]
+        head, sep, fmult = m0_description[:-1].partition(" + ")
+        assert (head, sep) == ("C", " + ") and m0_description.endswith("F")
+        assert fmult.isdigit()
+        coeffs = [1, int(fmult)]
+    n = len(coeffs)
+    return sum(coeffs[i] * gram[i][j] * coeffs[j] for i in range(n) for j in range(n))

@@ -154,6 +154,22 @@ def test_einv_with_fibre_scaling(tmp_path, capsys):
     assert report["against"]["scaled_slack"] == "0"
 
 
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (["--m", "Q", "--fibre", "Q"], "--fibre-mult"),
+        (["--m", "Q", "--fibre-mult", "1"], "--fibre"),
+        (["--fibre", "Q", "--fibre-mult", "1"], "--m"),
+    ],
+    ids=["no-fibre-mult", "no-fibre", "no-m"],
+)
+def test_einv_partial_fibre_flags_are_a_usage_error(tmp_path, capsys, flags, missing):
+    cfg = write(tmp_path, GOLDEN_CONFIG)
+    code, out, err = run(capsys, ["einv", "--config", cfg, "--divisor", "D", *flags])
+    assert (code, out) == (1, "")
+    assert err == f"error: {missing} is required for this command\n"
+
+
 def test_chain_command_from_flags(capsys):
     code, out, _ = run(capsys, ["chain", "--e", "2,2", "--e", "3", "--json"])
     assert code == 0

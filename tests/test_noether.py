@@ -1,3 +1,5 @@
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from zariskivol.errors import (
     InconsistentTripleError,
     InvariantViolationError,
     IterationDivergedError,
+    MathematicalError,
+    NegativeOffDiagonalError,
     NonIntegralMultipleError,
     NotFibreMultipleError,
     PencilScenarioError,
@@ -31,6 +35,10 @@ from zariskivol.noether import (
     surface_bounds,
     validate_scenario,
 )
+from zariskivol.zariski import ZariskiDecomposition, zariski_decompose
+
+from generators import random_log_pair
+from oracles import catalog_square
 
 
 def test_pencil_bound_values():
@@ -320,8 +328,49 @@ def test_log_pair_coefficient_bounds_enforced():
 
 def test_log_pair_undeclared_component(chain22):
     k = divisor(chain22, (0, 1))
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="pairs to -3/2 with 'C2'"):
         log_pair_iterate(chain22, k, [("C1", 1)], 1)
+
+
+def test_log_pair_result_must_be_orthogonal_to_its_support():
+    # C1 meets C2 negatively, so the step on C2 leaves C1 pairing positively.
+    lattice = build_lattice(("C1", "C2"), ((-2, -1), (-1, -2)))
+    k = divisor(lattice, (-1, 0))
+    with pytest.raises(InvariantViolationError, match="pairs to 3/4 with 'C1'"):
+        log_pair_iterate(lattice, k, [("C1", 1), ("C2", 1)], 1)
+
+
+def test_log_pair_support_must_meet_nonnegatively():
+    lattice = build_lattice(
+        ("C1", "C2", "C3"), ((-2, -1, 1), (-1, -3, 1), (1, 1, -1))
+    )
+    k = divisor(lattice, (1, 0, 2))
+    delta = [("C1", 1), ("C2", "1/2"), ("C3", "1/2")]
+    with pytest.raises(NegativeOffDiagonalError, match=r"\['C1', 'C2', 'C3'\]"):
+        log_pair_iterate(lattice, k, delta, 2)
+
+
+def test_log_pair_decomposition_is_the_zariski_decomposition():
+    # With nonnegative off-diagonals the axioms fix the decomposition, so
+    # every certified result must equal the direct one field by field.
+    rng = random.Random(20261019)
+    returned = 0
+    for _ in range(600):
+        lattice, k, delta, n = random_log_pair(rng)
+        try:
+            result = log_pair_iterate(lattice, k, delta, n)
+        except MathematicalError:
+            continue
+        kd = k
+        for label, a in delta:
+            kd = kd + a * lattice.basis(lattice.index(label))
+        direct = zariski_decompose(lattice, kd)
+        for field in fields(ZariskiDecomposition):
+            name = field.name
+            assert getattr(result.decomposition, name) == getattr(direct, name), name
+        assert result.negative_part == direct.negative
+        returned += 1
+    assert returned >= 100
 
 
 def test_log_pair_input_validation(halfcurve):
@@ -428,9 +477,14 @@ def test_catalog_small_degrees():
 
 
 def test_catalog_square_recomputed_everywhere():
-    for d in range(2, 13):
-        for entry in catalog_degree_dminus1(d):
-            assert entry.m0_squared == d - 1
+    # The oracle sees only the surface, e and the class description.
+    for d in [*range(2, 301), 2500, 9999, 10000]:
+        entries = catalog_degree_dminus1(d)
+        assert entries
+        for entry in entries:
+            assert entry.d == d
+            square = catalog_square(entry.surface, entry.e, entry.m0_description)
+            assert square == entry.m0_squared == d - 1, (d, entry)
 
 
 def test_catalog_validation():
